@@ -115,8 +115,8 @@ def dissipation_kraus(rate: float, t: float) -> KrausChannel:
     K1 = diag(1, e^{-4 rate t}), K2 = [[0, sqrt(1 - e^{-8 rate t})], [0, 0]];
     the pulse angle realizing it is alpha = arccos(e^{-4 rate t}), beta = 0.
     """
-    if rate < 0 or t < 0:
-        raise ValueError("dissipation rate and duration must be nonnegative")
+    if not (0 <= rate < math.inf and 0 <= t < math.inf):
+        raise ValueError("dissipation rate and duration must be finite and nonnegative")
     e4 = math.exp(-4.0 * rate * t)
     k1 = np.diag([1.0, e4]).astype(complex)
     k2 = np.array([[0.0, math.sqrt(max(0.0, 1.0 - e4 * e4))], [0.0, 0.0]], dtype=complex)
@@ -138,8 +138,8 @@ def dephasing_kraus_paper(rate: float, t: float) -> KrausChannel:
     finite rate*t (0.75 at t = 0).  The channel is returned as-is with
     cptp="violated" so downstream consumers must opt in explicitly.
     """
-    if rate < 0 or t < 0:
-        raise ValueError("dephasing rate and duration must be nonnegative")
+    if not (0 <= rate < math.inf and 0 <= t < math.inf):
+        raise ValueError("dephasing rate and duration must be finite and nonnegative")
     e2 = math.exp(-2.0 * rate * t)
     k1 = np.diag([-0.5 * e2, 0.5 * e2]).astype(complex)
     k2 = np.array(
@@ -157,8 +157,8 @@ def dephasing_kraus_corrected(rate: float, t: float) -> KrausChannel:
     action (e^{-gamma t}, e^{-gamma t}, 1) is exactly a phase flip with
     probability p = (1 - e^{-gamma t})/2.
     """
-    if rate < 0 or t < 0:
-        raise ValueError("dephasing rate and duration must be nonnegative")
+    if not (0 <= rate < math.inf and 0 <= t < math.inf):
+        raise ValueError("dephasing rate and duration must be finite and nonnegative")
     p = 0.5 * (1.0 - math.exp(-rate * t))
     k1 = math.sqrt(1.0 - p) * ID2.astype(complex)
     k2 = math.sqrt(p) * SZ.astype(complex)

@@ -316,14 +316,11 @@ def cmd_evolve(args) -> int:
         traj = integrate_exact(
             rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every
         )
-    elif method == "trotter":
-        traj = evolve_trotter_open(
-            rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.lowering, args.record_every
-        )
     else:
         traj = evolve_trotter_open(
             rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.lowering, args.record_every
         )
+    if method == "both":
         exact = integrate_exact(
             rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every
         )

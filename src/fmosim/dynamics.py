@@ -12,12 +12,13 @@ Two evolution routes for the same model:
 
 * ``evolve_trotter_open``: per step, the first-order split unitary
   e^{-i H0 dt} * prod_pairs e^{-i H_pair dt}, then per site the exact
-  finite-time dissipation channel, then the corrected dephasing channel
-  (unitary -> dissipation -> dephasing; the order is fixed for
-  reproducibility).  Channel parameters are the exact per-interval values
-  (e^{-4 Gamma dt} and friends), so every step is CPTP at any dt.  The step
-  unitary can be lowered as dense exponential blocks or assembled end-to-end
-  from compiled pulse schedules.
+  finite-time dissipation and corrected dephasing channels.  These commute
+  and act elementwise in the occupation basis, on the per-site blocks of rho
+  (``_site_blocks``) that the generator's decay and refill terms also use.
+  Channel parameters are the exact per-interval values (e^{-4 Gamma dt} and
+  friends), so every step is CPTP at any dt.  The step unitary can be lowered
+  as dense exponential blocks or assembled end-to-end from compiled pulse
+  schedules.
 
 Populations are excitation-basis: p_j = tr(rho n_j), so the all-ground state
 has p = 0 and dissipation drains p_j toward zero; 1 - sum_j p_j is the
@@ -40,7 +41,7 @@ from .hamiltonians import (
     nmr_from_fmo,
     trotter_step,
 )
-from .qcore import pauli_embed
+from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 logger = logging.getLogger(__name__)
 
@@ -54,9 +55,6 @@ __all__ = [
     "integrate_exact",
     "evolve_trotter_open",
 ]
-
-SMINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-NPROJ = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,20 +87,14 @@ class NoiseParameters:
         return cls(np.full(n, dissipation), np.full(n, dephasing))
 
 
-def _site_bits(n: int) -> np.ndarray:
-    """bits[j-1, b] = occupation of site j in basis state b (site 1 = MSB)."""
-    idx = np.arange(2**n)
-    return np.array([(idx >> (n - j)) & 1 for j in range(1, n + 1)])
-
-
 def site_populations(rho: np.ndarray) -> np.ndarray:
     """Excited-state population of each site, tr(rho n_j)."""
     rho = np.asarray(rho)
     n = int(round(math.log2(rho.shape[0])))
     if rho.shape != (2**n, 2**n):
         raise ValueError("state dimension is not a power of two")
-    diag = np.real(np.diagonal(rho))
-    return _site_bits(n) @ diag
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    return bits @ np.real(np.diagonal(rho))
 
 
 def initial_density(label: str, n: int) -> np.ndarray:
@@ -124,16 +116,31 @@ def initial_density(label: str, n: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _site_blocks(rho: np.ndarray, j: int) -> np.ndarray:
+    """Site j's row and column bits of rho as axes 1 and 4 (a view if C-contiguous)."""
+    hi, lo = 1 << (j - 1), rho.shape[0] >> j
+    return rho.reshape(hi, 2, lo, hi, 2, lo)
+
+
+def _site_rates(noise: NoiseParameters) -> list[tuple[int, float, float]]:
+    """(site, coherence decay rate 4 Gamma + gamma, excited decay rate 8 Gamma)."""
+    return [
+        (j, 4.0 * big + small, 8.0 * big)
+        for j, (big, small) in enumerate(zip(noise.dissipation, noise.dephasing), 1)
+        if big > 0 or small > 0
+    ]
+
+
 class LindbladGenerator:
     """Precomputed right-hand side of the master equation.
 
-    The non-unitary part is evaluated elementwise: in the site-occupation
-    basis the anticommutator terms are a fixed decay mask
+    The non-unitary part is evaluated elementwise on the per-site blocks of
+    ``_site_blocks``: the anticommutator terms are a fixed decay mask
 
         decay[a, b] = -sum_j [ 4 Gamma_j (a_j + b_j) + gamma_j (a_j xor b_j) ]
 
-    and the refill term routes rho[a|j, b|j] -> rho[a, b] with weight
-    8 Gamma_j for every site j unoccupied in both a and b.
+    and the refill term adds 8 Gamma_j rho[a|j, b|j] to rho[a, b] for every
+    site j unoccupied in both a and b.
     """
 
     def __init__(self, fmo: FmoParameters, noise: NoiseParameters):
@@ -142,26 +149,20 @@ class LindbladGenerator:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
         self.n_sites = n
         self.h = build_fmo_h(fmo)
-        bits = _site_bits(n)
-        occ_row = bits[:, :, None]
-        occ_col = bits[:, None, :]
-        gam4 = 4.0 * noise.dissipation[:, None, None]
-        deph = noise.dephasing[:, None, None]
-        self.decay = -np.sum(
-            gam4 * (occ_row + occ_col) + deph * (occ_row ^ occ_col), axis=0
-        )
-        self.refill = [
-            (8.0 * noise.dissipation[j], np.nonzero(bits[j] == 0)[0], 1 << (n - 1 - j))
-            for j in range(n)
-            if noise.dissipation[j] > 0
-        ]
+        self.decay = np.zeros(self.h.shape)
+        for j, coherence, excited in _site_rates(noise):
+            v = _site_blocks(self.decay, j)
+            v[:, 0, :, :, 1, :] -= coherence
+            v[:, 1, :, :, 0, :] -= coherence
+            v[:, 1, :, :, 1, :] -= excited
+        self.refill = [(j, w) for j, _, w in _site_rates(noise) if w > 0]
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.h @ rho - rho @ self.h)
         out += self.decay * rho
-        for weight, empty, mask in self.refill:
-            src = empty + mask
-            out[np.ix_(empty, empty)] += weight * rho[np.ix_(src, src)]
+        for j, weight in self.refill:
+            src = _site_blocks(rho, j)[:, 1, :, :, 1, :]
+            _site_blocks(out, j)[:, 0, :, :, 0, :] += weight * src
         return out
 
 
@@ -247,7 +248,9 @@ class Trajectory:
         return json.dumps(doc) + "\n"
 
 
-def _step_grid(t_max: float, dt: float) -> tuple[int, float]:
+def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
+    if record_every < 1:
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
@@ -271,7 +274,7 @@ def integrate_exact(
     The step is shrunk to divide t_max exactly; states are recorded every
     ``record_every`` steps (and always at t_max).
     """
-    steps, h = _step_grid(t_max, dt)
+    steps, h = _step_grid(t_max, dt, record_every)
     gen = LindbladGenerator(fmo, noise)
     rho = np.asarray(rho0, dtype=complex).copy()
     if rho.shape != gen.h.shape:
@@ -325,21 +328,19 @@ def evolve_trotter_open(
     lowering: str = "dense-blocks",
     record_every: int = 1,
 ) -> Trajectory:
-    """Digital evolution: split-step unitary plus per-site Kraus channels.
+    """Digital evolution: split-step unitary plus per-site noise channels.
 
-    Each step applies the first-order Trotter unitary, then the exact
-    finite-dt dissipation channel on every site, then the corrected (CPTP)
-    dephasing channel.  ``lowering`` selects how the step unitary is built:
-    ``dense-blocks`` exponentiates the split factors directly,
-    ``compiled-pulses`` assembles them from compiled X-pulse schedules
-    (nearest-neighbor couplings only).
+    Each step applies the first-order Trotter unitary, then on every site the
+    exact finite-dt dissipation and corrected (CPTP) dephasing channels: its
+    coherences scale by e^{-(4 Gamma + gamma) dt} and a 1 - e^{-8 Gamma dt}
+    share of its excited block moves to its ground block.  ``lowering``
+    selects how the step unitary is built: ``dense-blocks`` exponentiates the
+    split factors directly, ``compiled-pulses`` assembles them from compiled
+    X-pulse schedules (nearest-neighbor couplings only).
     """
-    from .channels import dephasing_kraus_corrected, dissipation_kraus
-
-    n = fmo.n_sites
-    if noise.n_sites != n:
+    if noise.n_sites != fmo.n_sites:
         raise ValueError("noise and Hamiltonian parameters disagree on size")
-    steps, h = _step_grid(t_max, dt)
+    steps, h = _step_grid(t_max, dt, record_every)
     if lowering == "dense-blocks":
         u = trotter_step(fmo, h)
     elif lowering == "compiled-pulses":
@@ -348,14 +349,10 @@ def evolve_trotter_open(
         raise ValueError(f"unknown lowering {lowering!r}")
     uh = u.conj().T
 
-    embedded: list[tuple[np.ndarray, ...]] = []
-    for j in range(1, n + 1):
-        if noise.dissipation[j - 1] > 0:
-            ch = dissipation_kraus(noise.dissipation[j - 1], h)
-            embedded.append(tuple(pauli_embed(k, j, n) for k in ch.ops))
-        if noise.dephasing[j - 1] > 0:
-            ch = dephasing_kraus_corrected(noise.dephasing[j - 1], h)
-            embedded.append(tuple(pauli_embed(k, j, n) for k in ch.ops))
+    channels = [
+        (j, math.exp(-coherence * h), math.exp(-excited * h))
+        for j, coherence, excited in _site_rates(noise)
+    ]
     if np.any(noise.dephasing > 0):
         logger.info(
             "dephasing uses the corrected CPTP phase-flip channel; "
@@ -371,8 +368,12 @@ def evolve_trotter_open(
     method = f"trotter(dt={h:.12g})"
     for k in range(1, steps + 1):
         rho = u @ rho @ uh
-        for ops in embedded:
-            rho = sum(km @ rho @ km.conj().T for km in ops)
+        for j, keep_coherence, keep_excited in channels:
+            v = _site_blocks(rho, j)
+            v[:, 0, :, :, 1, :] *= keep_coherence
+            v[:, 1, :, :, 0, :] *= keep_coherence
+            v[:, 0, :, :, 0, :] += (1.0 - keep_excited) * v[:, 1, :, :, 1, :]
+            v[:, 1, :, :, 1, :] *= keep_excited
         if k % record_every == 0 or k == steps:
             times.append(k * h)
             states.append(rho.copy())

@@ -222,6 +222,15 @@ def test_evolve_compiled_lowering(tmp_path):
     assert np.abs(np.array(ra) - np.array(rb)).max() < 1e-9
 
 
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_evolve_rejects_record_every_below_one(tmp_path, capsys, every):
+    cfgp = write_config(tmp_path, BASE)
+    assert main(["evolve", "--config", cfgp, "--record-every", every]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "record_every" in captured.err
+    assert captured.out == ""
+
+
 # --- channel --------------------------------------------------------------------
 
 
@@ -255,6 +264,23 @@ def test_channel_identity_limit(capsys):
 def test_channel_negative_rate(capsys):
     assert main(["channel", "dissipation", "--rate", "-1", "--time", "0.1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind, rate, time",
+    [
+        ("dissipation", "nan", "1"),
+        ("dissipation", "inf", "1"),
+        ("dephasing-corrected", "1", "inf"),
+        ("dephasing-corrected", "nan", "0.5"),
+        ("dephasing-paper", "1", "nan"),
+    ],
+)
+def test_channel_rejects_non_finite(capsys, kind, rate, time):
+    assert main(["channel", kind, "--rate", rate, "--time", time]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
 
 
 def test_unknown_subcommand_exits_2():

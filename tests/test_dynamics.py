@@ -10,7 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from fmosim.channels import damping_basis_solution
+from fmosim.channels import (
+    damping_basis_solution,
+    dephasing_kraus_corrected,
+    dissipation_kraus,
+)
 from fmosim.dynamics import (
     LindbladGenerator,
     NoiseParameters,
@@ -21,7 +25,7 @@ from fmosim.dynamics import (
     lindblad_rhs,
     site_populations,
 )
-from fmosim.hamiltonians import FmoParameters, build_fmo_h
+from fmosim.hamiltonians import FmoParameters, build_fmo_h, trotter_step
 from fmosim.qcore import matexp_hermitian, pauli_embed, trace_distance
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -284,6 +288,77 @@ def test_compiled_lowering_rejects_long_range():
             0.05,
             lowering="unitaries",
         )
+
+
+# --- elementwise noise against the dense forms it replaced --------------------------
+
+
+def random_rates(n, rng):
+    """Per-site rates in [0.1, 2), every third site from a random offset set to zero."""
+    rates = rng.uniform(0.1, 2.0, n)
+    rates[rng.integers(3) :: 3] = 0.0
+    return rates
+
+
+def dense_kraus_noise(rho, noise, dt):
+    """Reference noise step: sum K rho K^dag over embedded per-site Kraus operators."""
+    n = noise.n_sites
+    for j in range(1, n + 1):
+        for ch in (
+            dissipation_kraus(noise.dissipation[j - 1], dt),
+            dephasing_kraus_corrected(noise.dephasing[j - 1], dt),
+        ):
+            ops = [pauli_embed(k, j, n) for k in ch.ops]
+            rho = sum(k @ rho @ k.conj().T for k in ops)
+    return rho
+
+
+def gather_refill_rhs(rho, fmo, noise):
+    """Reference generator: occupation-bit decay mask plus np.ix_ refill gathers."""
+    n = fmo.n_sites
+    h = build_fmo_h(fmo)
+    idx = np.arange(2**n)
+    bits = np.array([(idx >> (n - j)) & 1 for j in range(1, n + 1)])
+    occ_row, occ_col = bits[:, :, None], bits[:, None, :]
+    decay = -np.sum(
+        4.0 * noise.dissipation[:, None, None] * (occ_row + occ_col)
+        + noise.dephasing[:, None, None] * (occ_row ^ occ_col),
+        axis=0,
+    )
+    out = -1j * (h @ rho - rho @ h)
+    out += decay * rho
+    for j in range(n):
+        if noise.dissipation[j] > 0:
+            empty = np.nonzero(bits[j] == 0)[0]
+            src = empty + (1 << (n - 1 - j))
+            out[np.ix_(empty, empty)] += 8.0 * noise.dissipation[j] * rho[np.ix_(src, src)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 0.5])
+def test_trotter_step_matches_dense_kraus_reference(n, dt):
+    rng = np.random.default_rng(100 * n + int(1000 * dt))
+    fmo = chain_fmo(n, seed=n)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    rho0 = random_density(n, seed=n)
+    before = rho0.copy()
+    traj = evolve_trotter_open(rho0, fmo, noise, 2 * dt, dt)
+    assert np.array_equal(rho0, before)
+    u = trotter_step(fmo, dt)
+    for prev, got in zip(traj.states, traj.states[1:]):
+        want = dense_kraus_noise(u @ prev @ u.conj().T, noise, dt)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rhs_matches_gather_refill_reference(n):
+    rng = np.random.default_rng(n)
+    fmo = chain_fmo(n, seed=n)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    rho = random_density(n, seed=n + 1)
+    got = LindbladGenerator(fmo, noise).rhs(rho)
+    assert np.abs(got - gather_refill_rhs(rho, fmo, noise)).max() <= 1e-12
 
 
 # --- trajectory container -----------------------------------------------------------
