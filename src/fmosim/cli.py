@@ -312,18 +312,15 @@ def cmd_evolve(args) -> int:
         raise ConfigError(f"config.evolution.initial_state: {exc}") from None
 
     extra = None
-    if method == "exact":
-        traj = integrate_exact(
-            rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every
-        )
-    else:
+    if method != "exact":
         traj = evolve_trotter_open(
             rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.lowering, args.record_every
         )
-    if method == "both":
-        exact = integrate_exact(
-            rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every
-        )
+    if method != "trotter":
+        exact = integrate_exact(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every)
+    if method == "exact":
+        traj = exact
+    elif method == "both":
         extra = {
             "trace_distance": np.array(
                 [trace_distance(a, b) for a, b in zip(traj.states, exact.states)]

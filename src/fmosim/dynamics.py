@@ -11,14 +11,18 @@ Two evolution routes for the same model:
   brute-force oracle the digital pipeline is judged against.
 
 * ``evolve_trotter_open``: per step, the first-order split unitary
-  e^{-i H0 dt} * prod_pairs e^{-i H_pair dt}, then per site the exact
+  e^{-i H0 dt} * prod_pairs e^{-i H_pair dt}, whose factor order is the
+  gate program ``hamiltonians.trotter_program``, then per site the exact
   finite-time dissipation and corrected dephasing channels.  These commute
   and act elementwise in the occupation basis, on the per-site blocks of rho
   (``_site_blocks``) that the generator's decay and refill terms also use.
   Channel parameters are the exact per-interval values (e^{-4 Gamma dt} and
-  friends), so every step is CPTP at any dt.  The step unitary can be lowered
-  as dense exponential blocks or assembled end-to-end from compiled pulse
-  schedules.
+  friends), so every step is CPTP at any dt.  The step unitary is that
+  program's unitary, or (``compiled-pulses``) that of a lowering pass that
+  replaces its gates by compiled pulse schedules; either way at most 10 sites.
+
+Both routes share one record loop (``_record``); their steps return a fresh
+array, so ``Trajectory`` makes the one copy of each recorded state.
 
 Populations are excitation-basis: p_j = tr(rho n_j), so the all-ground state
 has p = 0 and dissipation drains p_j toward zero; 1 - sum_j p_j is the
@@ -35,12 +39,7 @@ import numpy as np
 
 from . import circuit as ci
 from .compiler import compile_single_z, compile_xy, schedule_program
-from .hamiltonians import (
-    FmoParameters,
-    build_fmo_h,
-    nmr_from_fmo,
-    trotter_step,
-)
+from .hamiltonians import FmoParameters, build_fmo_h, nmr_from_fmo, trotter_program, trotter_step
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 logger = logging.getLogger(__name__)
@@ -194,8 +193,9 @@ class Trajectory:
         states = []
         for t, s in zip(self.times, self.states):
             s = np.asarray(s, dtype=complex)
-            if abs(np.trace(s).real - 1.0) > tol or abs(np.trace(s).imag) > tol:
-                raise ValueError(f"state at t={t:g} has trace {np.trace(s):.8g}")
+            tr = np.trace(s)
+            if not (np.isfinite(s).all() and abs(tr.real - 1.0) <= tol and abs(tr.imag) <= tol):
+                raise ValueError(f"state at t={t:g} is not finite or has trace {tr:.8g}")
             s = s.copy()
             s.setflags(write=False)
             states.append(s)
@@ -261,6 +261,17 @@ def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
     return steps, t_max / steps
 
 
+def _record(rho0, step, steps: int, h: float, record_every: int, method: str) -> Trajectory:
+    """Apply ``step`` ``steps`` times, keeping every record_every-th and the last state."""
+    rho, times, states = rho0, [0.0], [rho0]
+    for k in range(1, steps + 1):
+        rho = step(rho)
+        if k % record_every == 0 or k == steps:
+            times.append(k * h)
+            states.append(rho)
+    return Trajectory(tuple(times), tuple(states), method)
+
+
 def integrate_exact(
     rho0: np.ndarray,
     fmo: FmoParameters,
@@ -276,47 +287,29 @@ def integrate_exact(
     """
     steps, h = _step_grid(t_max, dt, record_every)
     gen = LindbladGenerator(fmo, noise)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    if rho.shape != gen.h.shape:
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != gen.h.shape:
         raise ValueError("state dimension does not match the parameter set")
-    times = [0.0]
-    states = [rho.copy()]
-    for k in range(1, steps + 1):
+
+    def rk4(rho):
         k1 = gen.rhs(rho)
         k2 = gen.rhs(rho + 0.5 * h * k1)
         k3 = gen.rhs(rho + 0.5 * h * k2)
         k4 = gen.rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k % record_every == 0 or k == steps:
-            times.append(k * h)
-            states.append(rho.copy())
-    return Trajectory(tuple(times), tuple(states), "exact")
+        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _record(rho0, rk4, steps, h, record_every, "exact")
 
 
 def _compiled_step_unitary(fmo: FmoParameters, dt: float) -> np.ndarray:
-    """Trotter step assembled entirely from verified pulse schedules.
-
-    Matches the dense e^{-i H0 dt} * prod_{pairs ascending} e^{-i H_pair dt}
-    factor order: in circuit time, bond targets run in descending order and
-    the single-Z targets come last.
-    """
-    n = fmo.n_sites
-    for j, l in fmo.coupled_pairs():
-        if l != j + 1:
-            raise ValueError(
-                f"compiled-pulses lowering supports chain couplings only; "
-                f"found long-range pair ({j}, {l})"
-            )
+    """Step unitary of ``trotter_program`` lowered gate by gate to pulse schedules."""
     nmr = nmr_from_fmo(fmo)
     ins: list = []
-    for j, l in reversed(fmo.coupled_pairs()):
-        ins.extend(schedule_program(compile_xy((j, l), dt, nmr), nmr).instructions)
-    for l in range(1, n + 1):
-        if fmo.epsilon[l - 1] != 0.0:
-            ins.extend(
-                schedule_program(compile_single_z(l, dt, nmr), nmr).instructions
-            )
-    return ci.unitary_of(ci.Program(n, tuple(ins)))
+    for g in trotter_program(fmo, dt).instructions:
+        rz = g.kind == "RZ"
+        sched = compile_single_z(g.qubits[0], dt, nmr) if rz else compile_xy(g.qubits, dt, nmr)
+        ins.extend(schedule_program(sched, nmr).instructions)
+    return ci.unitary_of(ci.Program(fmo.n_sites, tuple(ins)))
 
 
 def evolve_trotter_open(
@@ -334,9 +327,10 @@ def evolve_trotter_open(
     exact finite-dt dissipation and corrected (CPTP) dephasing channels: its
     coherences scale by e^{-(4 Gamma + gamma) dt} and a 1 - e^{-8 Gamma dt}
     share of its excited block moves to its ground block.  ``lowering``
-    selects how the step unitary is built: ``dense-blocks`` exponentiates the
-    split factors directly, ``compiled-pulses`` assembles them from compiled
-    X-pulse schedules (nearest-neighbor couplings only).
+    selects how the step unitary is built from ``trotter_program``:
+    ``dense-blocks`` takes its unitary, ``compiled-pulses`` that of a lowering
+    pass to compiled X-pulse schedules (nearest-neighbour couplings only).
+    Both cap the register at 10 sites.
     """
     if noise.n_sites != fmo.n_sites:
         raise ValueError("noise and Hamiltonian parameters disagree on size")
@@ -360,13 +354,11 @@ def evolve_trotter_open(
             "available only behind an explicit override"
         )
 
-    rho = np.asarray(rho0, dtype=complex).copy()
-    if rho.shape != u.shape:
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != u.shape:
         raise ValueError("state dimension does not match the parameter set")
-    times = [0.0]
-    states = [rho.copy()]
-    method = f"trotter(dt={h:.12g})"
-    for k in range(1, steps + 1):
+
+    def trotter(rho):
         rho = u @ rho @ uh
         for j, keep_coherence, keep_excited in channels:
             v = _site_blocks(rho, j)
@@ -374,7 +366,6 @@ def evolve_trotter_open(
             v[:, 1, :, :, 0, :] *= keep_coherence
             v[:, 0, :, :, 0, :] += (1.0 - keep_excited) * v[:, 1, :, :, 1, :]
             v[:, 1, :, :, 1, :] *= keep_excited
-        if k % record_every == 0 or k == steps:
-            times.append(k * h)
-            states.append(rho.copy())
-    return Trajectory(tuple(times), tuple(states), method)
+        return rho
+
+    return _record(rho0, trotter, steps, h, record_every, f"trotter(dt={h:.12g})")

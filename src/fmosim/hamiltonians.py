@@ -14,9 +14,10 @@ J_l = 2 nu_{l,l+1}.  The simulator chain is a longitudinal Ising chain,
 
 which is diagonal in the computational basis.
 
-``trotter_unitary`` implements the first-order splitting
-(e^{-i H0 t/N} * prod_pairs e^{-i H_pair t/N})^N with pairs in ascending
-order; its error vanishes as 1/N at fixed t.
+The factor order of the first-order step e^{-i H0 dt} * prod_{pairs
+ascending} e^{-i H_pair dt} is defined once, as the gate program
+``trotter_program``; ``trotter_step`` is its unitary and ``trotter_unitary``
+its N-th power, whose error vanishes as 1/N at fixed t.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import circuit as ci
 from .qcore import SX, SY, SZ, matexp_hermitian, pauli_embed
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "nmr_diagonal",
     "nmr_from_fmo",
     "pair_hopping_h",
+    "trotter_program",
     "trotter_step",
     "trotter_unitary",
 ]
@@ -166,17 +169,25 @@ def nmr_from_fmo(p: FmoParameters) -> NmrParameters:
     return NmrParameters(omega=2.0 * p.epsilon, j=2.0 * bonds)
 
 
+def trotter_program(p: FmoParameters, dt: float) -> ci.Program:
+    """The step's factor order, defined once, as a gate program.
+
+    In circuit time: e^{-i H_pair dt} on (j, l) for the coupled pairs in
+    descending order, then RZ(2 eps_s dt) = e^{-i dt eps_s Z_s} on every site
+    with nonzero energy.
+    """
+    hop = np.kron(SX, SX) + np.kron(SY, SY)
+    ins = [
+        ci.unitary_gate(matexp_hermitian(2.0 * p.nu[j - 1, l - 1] * hop, -1j * dt), (j, l))
+        for j, l in reversed(p.coupled_pairs())
+    ]
+    ins += [ci.rz(2.0 * e * dt, s) for s, e in enumerate(p.epsilon, 1) if e != 0.0]
+    return ci.Program(p.n_sites, tuple(ins))
+
+
 def trotter_step(p: FmoParameters, dt: float) -> np.ndarray:
-    """One first-order step: e^{-i H0 dt} * prod_{(j,l) ascending} e^{-i H_pair dt}."""
-    n = p.n_sites
-    idx = np.arange(2**n)
-    h0_diag = np.zeros(2**n)
-    for site in range(1, n + 1):
-        h0_diag = h0_diag + p.epsilon[site - 1] * (1.0 - 2.0 * ((idx >> (n - site)) & 1))
-    u = np.diag(np.exp(-1j * dt * h0_diag)).astype(complex)
-    for j, l in p.coupled_pairs():
-        u = u @ matexp_hermitian(pair_hopping_h(p, j, l), -1j * dt)
-    return u
+    """One first-order step: the unitary of ``trotter_program`` (at most 10 sites)."""
+    return ci.unitary_of(trotter_program(p, dt))
 
 
 def trotter_unitary(p: FmoParameters, t: float, n_steps: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process via main(argv))."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -229,6 +230,45 @@ def test_evolve_rejects_record_every_below_one(tmp_path, capsys, every):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "record_every" in captured.err
     assert captured.out == ""
+
+
+def test_evolve_rejects_diverged_state(tmp_path, capsys):
+    # RK4 far past its stability limit: the state at t = 50 is NaN.
+    doc = deep(
+        BASE,
+        (("noise", "dissipation"), [50.0] * 3),
+        (("evolution", "dt"), 0.5),
+        (("evolution", "t_max"), 50.0),
+        (("evolution", "method"), "exact"),
+    )
+    cfgp = write_config(tmp_path, doc)
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--config", cfgp, "--out", str(out), "--record-every", "1000"]) == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "t=50" in errors[0]
+    assert "Traceback" not in captured.err
+    assert not out.exists() and captured.out == ""
+
+
+def test_evolve_digital_route_capped_at_ten_sites(tmp_path, capsys):
+    doc = deep(
+        BASE,
+        (("fmo",), {"epsilon": [1.0] * 11, "nu_bonds": [0.1] * 10}),
+        (("noise",), {"dissipation": [0.05] * 11, "dephasing": [0.05] * 11}),
+        (("nmr",), ...),
+        (("evolution", "method"), "trotter"),
+        (("evolution", "t_max"), 0.1),
+    )
+    cfgp = write_config(tmp_path, doc)
+    out = tmp_path / "traj.csv"
+    start = time.perf_counter()
+    assert main(["evolve", "--config", cfgp, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 20.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 # --- channel --------------------------------------------------------------------

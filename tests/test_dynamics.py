@@ -19,13 +19,20 @@ from fmosim.dynamics import (
     LindbladGenerator,
     NoiseParameters,
     Trajectory,
+    _compiled_step_unitary,
     evolve_trotter_open,
     initial_density,
     integrate_exact,
     lindblad_rhs,
     site_populations,
 )
-from fmosim.hamiltonians import FmoParameters, build_fmo_h, trotter_step
+from fmosim.hamiltonians import (
+    FmoParameters,
+    build_fmo_h,
+    build_fmo_h0,
+    pair_hopping_h,
+    trotter_step,
+)
 from fmosim.qcore import matexp_hermitian, pauli_embed, trace_distance
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -359,6 +366,43 @@ def test_rhs_matches_gather_refill_reference(n):
     rho = random_density(n, seed=n + 1)
     got = LindbladGenerator(fmo, noise).rhs(rho)
     assert np.abs(got - gather_refill_rhs(rho, fmo, noise)).max() <= 1e-12
+
+
+# --- step unitary against the dense product it replaced -------------------------------
+
+
+def random_couplings(n, rng):
+    """Random chain couplings plus the long-range pair (1, n); one site energy is zero."""
+    nu = np.zeros((n, n))
+    for j in range(n - 1):
+        nu[j, j + 1] = nu[j + 1, j] = rng.uniform(-0.5, 0.5)
+    if n >= 3:
+        nu[0, n - 1] = nu[n - 1, 0] = rng.uniform(-0.5, 0.5)
+    eps = rng.uniform(-1.5, 1.5, n)
+    eps[rng.integers(n)] = 0.0
+    return FmoParameters(epsilon=eps, nu=nu)
+
+
+def dense_trotter_step(fmo, dt):
+    """Reference step: diag(e^{-i dt h0}) times dense pair exponentials, ascending."""
+    u = np.diag(np.exp(-1j * dt * np.diag(build_fmo_h0(fmo)).real))
+    for j, l in fmo.coupled_pairs():
+        u = u @ matexp_hermitian(pair_hopping_h(fmo, j, l), -1j * dt)
+    return u
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 0.5])
+def test_trotter_step_matches_dense_product_and_compiled_pulses(dt):
+    rng = np.random.default_rng(int(1000 * dt))
+    for n in range(1, 8):
+        fmo = random_couplings(n, rng)
+        if n >= 3:
+            assert (1, n) in fmo.coupled_pairs()
+        assert np.abs(trotter_step(fmo, dt) - dense_trotter_step(fmo, dt)).max() <= 1e-12
+    for n in range(2, 8):
+        fmo = chain_fmo(n, seed=n)
+        compiled = _compiled_step_unitary(fmo, dt)
+        assert np.abs(compiled - trotter_step(fmo, dt)).max() <= 1e-12
 
 
 # --- trajectory container -----------------------------------------------------------
