@@ -3,7 +3,8 @@
 The package has three layers:
 
 - ``qcore`` / ``circuit``: dense linear algebra, a small gate-level IR with
-  statevector and density-matrix simulators, and a text serialization format.
+  one Kraus channel type, statevector and density-matrix simulators, and a
+  text serialization format.
 - ``hamiltonians`` / ``compiler``: the FMO and Ising-chain Hamiltonians, and a
   pulse compiler that turns single-Z, ZZ and XX+YY evolution targets into
   X-pulse re/decoupling schedules synthesized from Hadamard sign matrices.

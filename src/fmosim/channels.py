@@ -17,26 +17,28 @@ RY rotations on the ancilla with angles beta + alpha and beta - alpha,
 sandwiched by CNOTs (lowered to H/CZ), then a measure-and-discard of the
 ancilla.
 
+Every channel here is a ``circuit.KrausChannel`` (re-exported with
+``completeness_deficit``), so its CPTP status is computed from its
+operators, and ``apply_kraus`` is ``circuit.run_density`` on one qubit.
+
 One published dephasing Kraus pair is reproduced verbatim behind
 ``dephasing_kraus_paper``; it is not trace preserving (the completeness sum
 misses the identity by 0.75 at t = 0, and by a strictly positive deficit for
-every finite gamma*t), so it is shipped flagged ``violated`` and refused by
-simulators unless explicitly overridden.  ``dephasing_kraus_corrected`` is
-the CPTP phase-flip channel matching the dephasing generator.
+every finite gamma*t), so its status is ``violated`` and simulators refuse
+it unless explicitly overridden.  ``dephasing_kraus_corrected`` is the CPTP
+phase-flip channel matching the dephasing generator.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit as ci
+from .circuit import KrausChannel, completeness_deficit
 from .qcore import CPTP_VERIFIED_ATOL, ID2, SX, SY, SZ
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "KrausChannel",
@@ -52,44 +54,6 @@ __all__ = [
     "channel_circuit",
     "channel_report",
 ]
-
-
-def completeness_deficit(ops: tuple[np.ndarray, ...]) -> float:
-    """Max-norm of sum_k K_k^dag K_k - I (zero for a CPTP operator sum)."""
-    acc = sum(k.conj().T @ k for k in ops)
-    return float(np.abs(acc - np.eye(acc.shape[0])).max())
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Operator-sum channel with CPTP bookkeeping.
-
-    ``cptp`` is one of ``verified`` / ``violated`` / ``unchecked``; when
-    checked, ``deficit`` carries the completeness max-norm defect.  ``angles``
-    holds (alpha, beta) when the channel comes from the diag/antidiag family,
-    which is what the circuit realization needs.
-    """
-
-    ops: tuple[np.ndarray, ...]
-    provenance: str
-    cptp: str = field(default="", init=True)
-    deficit: float = 0.0
-    angles: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.ops)
-        if not ops or any(k.shape != (2, 2) for k in ops):
-            raise ValueError("Kraus operators must be 2x2 matrices")
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
-        if self.cptp == "":
-            deficit = completeness_deficit(ops)
-            status = "verified" if deficit <= CPTP_VERIFIED_ATOL else "violated"
-            object.__setattr__(self, "deficit", deficit)
-            object.__setattr__(self, "cptp", status)
-        elif self.cptp not in ("verified", "violated", "unchecked"):
-            raise ValueError(f"unknown cptp status {self.cptp!r}")
 
 
 def kraus_from_angles(upsilon: float, mu: float) -> KrausChannel:
@@ -135,8 +99,8 @@ def dephasing_kraus_paper(rate: float, t: float) -> KrausChannel:
 
     The completeness sum is diag(1 + d/4 + d/2... ) != I; its max-norm
     deficit is e^{-4 rate t}/4 + e^{-2 rate t}/2, strictly positive for all
-    finite rate*t (0.75 at t = 0).  The channel is returned as-is with
-    cptp="violated" so downstream consumers must opt in explicitly.
+    finite rate*t (0.75 at t = 0).  The channel is returned as-is; its
+    derived status is ``violated``, so applying it needs an explicit opt-in.
     """
     if not (0 <= rate < math.inf and 0 <= t < math.inf):
         raise ValueError("dephasing rate and duration must be finite and nonnegative")
@@ -188,24 +152,13 @@ def damping_basis_solution(rate: float, rho0: np.ndarray, t: float) -> np.ndarra
 
 
 def apply_kraus(rho: np.ndarray, ch: KrausChannel, allow_noncptp: bool = False) -> np.ndarray:
-    """Operator-sum action sum_k K rho K^dag on a single-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("apply_kraus acts on one qubit")
-    if ch.cptp == "violated":
-        if not allow_noncptp:
-            raise ValueError(
-                f"channel {ch.provenance} is not trace preserving "
-                f"(completeness deficit {ch.deficit:.3g}); "
-                "pass allow_noncptp=True to apply it anyway"
-            )
-        logger.warning(
-            "applying non-trace-preserving channel %s (deficit %.3g); "
-            "the output trace will drift",
-            ch.provenance,
-            ch.deficit,
-        )
-    return sum(k @ rho @ k.conj().T for k in ch.ops)
+    """Operator-sum action sum_k K rho K^dag on a single-qubit state.
+
+    Runs ``circuit.run_density``, so a channel whose status is ``violated``
+    is refused unless ``allow_noncptp`` is passed.
+    """
+    program = ci.Program(1, (ci.KrausApply(1, ch),))
+    return ci.run_density(program, rho, allow_noncptp=allow_noncptp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,13 +212,14 @@ def bloch_map(ch: KrausChannel) -> AffineChannel:
 
 
 def _angles_of(ch: KrausChannel) -> tuple[float, float]:
-    if ch.angles is not None:
-        return ch.angles
+    """(alpha, beta) of a diag/antidiag two-Kraus channel, checked against its operators."""
     if len(ch.ops) != 2:
         raise ValueError("circuit realization needs a two-operator channel")
     k1, k2 = ch.ops
-    alpha = math.atan2(k2[0, 1].real, k1[1, 1].real)
-    beta = math.atan2(k2[1, 0].real, k1[0, 0].real)
+    alpha, beta = ch.angles or (
+        math.atan2(k2[0, 1].real, k1[1, 1].real),
+        math.atan2(k2[1, 0].real, k1[0, 0].real),
+    )
     want1 = np.diag([math.cos(beta), math.cos(alpha)])
     want2 = np.array([[0.0, math.sin(alpha)], [math.sin(beta), 0.0]])
     if (
@@ -273,38 +227,28 @@ def _angles_of(ch: KrausChannel) -> tuple[float, float]:
         or np.abs(k2 - want2).max() > CPTP_VERIFIED_ATOL
     ):
         raise ValueError(
-            f"channel {ch.provenance} is not of the diagonal/antidiagonal "
-            "two-Kraus form and has no circuit realization here"
+            f"channel {ch.provenance} is not the diagonal/antidiagonal two-Kraus "
+            f"channel of angles ({alpha:.6g}, {beta:.6g}) and has no circuit realization here"
         )
     return alpha, beta
 
 
-def channel_circuit(
-    ch: KrausChannel,
-    pre: ci.Gate | None = None,
-    post: ci.Gate | None = None,
-) -> ci.Program:
+def channel_circuit(ch: KrausChannel) -> ci.Program:
     """One-ancilla circuit realizing a diag/antidiag two-Kraus channel.
 
     Qubit 1 is the system, qubit 2 the ancilla (starts in |0>, discarded at
     the end).  The isometry sends |s>|0> to (K1|s>)|0> + (K2|s>)|1>, built
     from two ancilla RY rotations, with angles beta + alpha and beta - alpha,
     interleaved with system-controlled CNOTs and closed by an ancilla-
-    controlled CNOT; CNOTs are lowered to the H/CZ gate set.  ``pre`` and
-    ``post`` are optional basis-change singles on the system for channels
-    whose Bloch matrix is diagonal only after conjugation (identity here).
+    controlled CNOT; CNOTs are lowered to the H/CZ gate set.  Supplied
+    ``angles`` are checked against the operators like recovered ones.
     """
     alpha, beta = _angles_of(ch)
-    ins: list = []
-    if pre is not None:
-        ins.append(pre)
-    ins += [ci.ry(beta + alpha, 2)]
+    ins = [ci.ry(beta + alpha, 2)]
     ins += [ci.h(2), ci.cz(1, 2), ci.h(2)]
     ins += [ci.ry(beta - alpha, 2)]
     ins += [ci.h(2), ci.cz(1, 2), ci.h(2)]
     ins += [ci.h(1), ci.cz(1, 2), ci.h(1)]
-    if post is not None:
-        ins.append(post)
     ins.append(ci.MeasureAndDiscard(2))
     return ci.Program(2, tuple(ins))
 

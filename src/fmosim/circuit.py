@@ -1,31 +1,46 @@
 """A small gate-level circuit IR with simulators and text serialization.
 
 Instructions are either unitary gates (X, H, RX, RY, RZ, CZ, CNOT, CPHASE and
-opaque UNITARY blocks), a single-qubit Kraus-channel application, or a
+opaque UNITARY blocks), a single-qubit Kraus channel placed on one qubit, or a
 measure-and-discard of one qubit (dephase in the computational basis, then
 trace out; the reduced state of the survivors is the same either way, so it is
 implemented as a partial trace).  Qubit 1 is the most significant bit of a
 basis index.
 
+``KrausChannel`` is the one channel type of the package: ``KrausApply`` only
+places it on a qubit, and ``fmosim.channels`` builds the physical channels as
+instances of it.  Its CPTP status and completeness deficit are always
+computed from the operators.  Applying a channel whose status is
+``violated`` (``run_density``, ``channels.apply_kraus``) raises unless the
+caller passes ``allow_noncptp``, and then logs a warning.
+
 The text format is line based: ``GATE(angle) qubits...`` with 1-based qubit
 indices, ``#`` comments, and ``UNITARY q... :`` / ``KRAUS q ... :`` headers
-followed by row-major complex matrix rows.  Angles and matrix entries are
-printed with 17 significant digits so that parsing an exported program
+followed by row-major complex matrix rows.  A KRAUS header carries
+``ops=<count>``, the derived ``cptp=<status>`` (a value that disagrees with
+the operators is a parse error), ``angles=<alpha>,<beta>`` when the channel
+has them, and ends with ``provenance=<text>``.  Angles and matrix entries
+are printed with 17 significant digits so that parsing an exported program
 reproduces it bit-exactly.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .qcore import ID2, SX, UNITARY_ATOL, is_unitary
+from .qcore import CPTP_VERIFIED_ATOL, SX, UNITARY_ATOL, is_unitary
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "Gate",
+    "KrausChannel",
+    "completeness_deficit",
     "KrausApply",
     "MeasureAndDiscard",
     "Program",
@@ -42,6 +57,7 @@ __all__ = [
     "run_statevector",
     "run_density",
     "unitary_of",
+    "check_unitary_register",
     "partial_trace",
     "export_text",
     "parse_text",
@@ -112,31 +128,60 @@ class Gate:
         return bool(np.array_equal(self.matrix, other.matrix))
 
 
-@dataclass(frozen=True, eq=False)
-class KrausApply:
-    """Apply a single-qubit operator-sum channel to ``qubit``."""
+def completeness_deficit(ops: tuple[np.ndarray, ...]) -> float:
+    """Max-norm of sum_k K_k^dag K_k - I (zero for a CPTP operator sum)."""
+    acc = sum(k.conj().T @ k for k in ops)
+    return float(np.abs(acc - np.eye(acc.shape[0])).max())
 
-    qubit: int
-    operators: tuple[np.ndarray, ...]
-    cptp: str = "unchecked"  # "verified" | "violated" | "unchecked"
-    label: str = ""
+
+@dataclass(frozen=True, eq=False)
+class KrausChannel:
+    """Single-qubit operator-sum channel with its derived CPTP status.
+
+    ``deficit`` is ``completeness_deficit(ops)`` and ``cptp`` is
+    ``verified`` when it is at most ``CPTP_VERIFIED_ATOL``, else
+    ``violated``.  ``angles`` holds (alpha, beta) when the channel comes
+    from the diag/antidiag family, which is what the circuit realization
+    needs.  ``provenance`` is one printable line without ``#``, so that the
+    text format carries it.
+    """
+
+    ops: tuple[np.ndarray, ...]
+    provenance: str
+    angles: tuple[float, float] | None = None
+    cptp: str = field(init=False)
+    deficit: float = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
+        ops = tuple(np.array(k, dtype=complex) for k in self.ops)
         if not ops or any(k.shape != (2, 2) for k in ops):
-            raise ValueError("KrausApply expects one or more 2x2 operators")
-        if self.cptp not in ("verified", "violated", "unchecked"):
-            raise ValueError(f"bad cptp status {self.cptp!r}")
-        object.__setattr__(self, "operators", ops)
+            raise ValueError("Kraus operators must be 2x2 matrices")
+        if not self.provenance.isprintable() or "#" in self.provenance:
+            raise ValueError(f"provenance {self.provenance!r} is not one printable line without #")
+        for k in ops:
+            k.setflags(write=False)
+        deficit = completeness_deficit(ops)
+        status = "verified" if deficit <= CPTP_VERIFIED_ATOL else "violated"
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "deficit", deficit)
+        object.__setattr__(self, "cptp", status)
 
     def __eq__(self, other):
-        if not isinstance(other, KrausApply):
+        if not isinstance(other, KrausChannel):
             return NotImplemented
         return (
-            (self.qubit, self.cptp, self.label) == (other.qubit, other.cptp, other.label)
-            and len(self.operators) == len(other.operators)
-            and all(np.array_equal(a, b) for a, b in zip(self.operators, other.operators))
+            (self.provenance, self.angles) == (other.provenance, other.angles)
+            and len(self.ops) == len(other.ops)
+            and all(np.array_equal(a, b) for a, b in zip(self.ops, other.ops))
         )
+
+
+@dataclass(frozen=True)
+class KrausApply:
+    """Apply ``channel`` to ``qubit``."""
+
+    qubit: int
+    channel: KrausChannel
 
 
 @dataclass(frozen=True)
@@ -266,9 +311,9 @@ def run_density(
 ) -> np.ndarray:
     """Evolve a density matrix through gates, Kraus channels and discards.
 
-    A KrausApply whose channel is flagged as violating CPTP raises unless
-    ``allow_noncptp`` is passed; the caller then owns the interpretation of
-    the (possibly trace-changing) output.
+    A channel whose CPTP status is ``violated`` raises unless
+    ``allow_noncptp`` is passed; it is then applied with a logged warning,
+    and the caller owns the interpretation of the trace-changing output.
     """
     n = program.n_qubits
     rho = np.asarray(rho0, dtype=complex)
@@ -281,14 +326,22 @@ def run_density(
             t = _apply(t, u, ins.qubits, 0)
             t = _apply(t, u.conj(), ins.qubits, n)
         elif isinstance(ins, KrausApply):
-            if ins.cptp == "violated" and not allow_noncptp:
-                raise ValueError(
-                    f"channel {ins.label or '<unnamed>'} violates CPTP; "
-                    "pass allow_noncptp=True to apply it anyway"
+            ch = ins.channel
+            if ch.cptp == "violated":
+                if not allow_noncptp:
+                    raise ValueError(
+                        f"channel {ch.provenance!r} violates CPTP (completeness deficit "
+                        f"{ch.deficit:.3g}); pass allow_noncptp=True to apply it anyway"
+                    )
+                logger.warning(
+                    "applying non-trace-preserving channel %r (deficit %.3g); "
+                    "the output trace will drift",
+                    ch.provenance,
+                    ch.deficit,
                 )
             t = sum(
                 _apply(_apply(t, k, (ins.qubit,), 0), k.conj(), (ins.qubit,), n)
-                for k in ins.operators
+                for k in ch.ops
             )
         else:
             rho_m = partial_trace(t.reshape(2**n, 2**n), _others(ins.qubit, n), n)
@@ -301,11 +354,16 @@ def _others(q: int, n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if j != q)
 
 
+def check_unitary_register(n: int) -> None:
+    """Refuse a register too large for ``unitary_of`` (more than 10 qubits)."""
+    if n > 10:
+        raise ValueError("unitary reconstruction capped at 10 qubits")
+
+
 def unitary_of(program: Program) -> np.ndarray:
     """Dense unitary of a gate-only program (register capped at 10 qubits)."""
     n = program.n_qubits
-    if n > 10:
-        raise ValueError("unitary reconstruction capped at 10 qubits")
+    check_unitary_register(n)
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for ins in program.instructions:
@@ -353,11 +411,12 @@ def export_text(program: Program) -> str:
             else:
                 lines.append(f"{ins.kind} {targets}")
         elif isinstance(ins, KrausApply):
-            head = f"KRAUS {ins.qubit} ops={len(ins.operators)} cptp={ins.cptp}"
-            if ins.label:
-                head += f" label={ins.label}"
-            lines.append(head + " :")
-            for k in ins.operators:
+            ch = ins.channel
+            head = f"KRAUS {ins.qubit} ops={len(ch.ops)} cptp={ch.cptp}"
+            if ch.angles is not None:
+                head += " angles={:.17g},{:.17g}".format(*ch.angles)
+            lines.append(f"{head} provenance={ch.provenance} :")
+            for k in ch.ops:
                 lines.extend(_fmt_matrix_rows(k))
         else:
             lines.append(f"MEASURE_DISCARD {ins.qubit}")
@@ -403,18 +462,27 @@ def parse_text(text: str) -> Program:
             elif name == "KRAUS":
                 if tokens[-1] != ":":
                     raise ValueError("KRAUS header must end with ':'")
-                qubit = int(tokens[1])
-                opts = dict(t.split("=", 1) for t in tokens[2:-1])
+                head, _, provenance = ln[:-2].partition(" provenance=")
+                opts = dict(t.split("=", 1) for t in head.split()[2:])
                 n_ops = int(opts.pop("ops"))
-                cptp = opts.pop("cptp", "unchecked")
-                label = opts.pop("label", "")
+                cptp = opts.pop("cptp", None)
+                angles = opts.pop("angles", None)
                 if opts:
                     raise ValueError(f"unknown KRAUS options {sorted(opts)}")
                 ops = []
                 for j in range(n_ops):
                     rows = [lines[i + 1 + 2 * j + r][1] for r in range(2)]
                     ops.append(_parse_matrix_rows(rows, 2, "KRAUS"))
-                instructions.append(KrausApply(qubit, tuple(ops), cptp=cptp, label=label))
+                if angles is not None:
+                    alpha, beta = map(float, angles.split(","))
+                    angles = (alpha, beta)
+                ch = KrausChannel(tuple(ops), provenance, angles)
+                if cptp not in (None, ch.cptp):
+                    raise ValueError(
+                        f"cptp={cptp} disagrees with the operators "
+                        f"({ch.cptp}, completeness deficit {ch.deficit:.3g})"
+                    )
+                instructions.append(KrausApply(int(tokens[1]), ch))
                 i += 1 + 2 * n_ops
             elif name == "MEASURE_DISCARD":
                 instructions.append(MeasureAndDiscard(int(tokens[1])))

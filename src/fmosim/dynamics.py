@@ -50,7 +50,6 @@ __all__ = [
     "site_populations",
     "initial_density",
     "LindbladGenerator",
-    "lindblad_rhs",
     "integrate_exact",
     "evolve_trotter_open",
 ]
@@ -165,17 +164,6 @@ class LindbladGenerator:
         return out
 
 
-def lindblad_rhs(
-    rho: np.ndarray, fmo: FmoParameters, noise: NoiseParameters
-) -> np.ndarray:
-    """drho/dt of the master equation (one-shot convenience wrapper)."""
-    gen = LindbladGenerator(fmo, noise)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != gen.h.shape:
-        raise ValueError("state dimension does not match the parameter set")
-    return gen.rhs(rho)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded open-system evolution: times, states and the method tag."""
@@ -241,9 +229,7 @@ class Trajectory:
         doc = {
             "method": self.method,
             "times": list(self.times),
-            "states": [
-                [[[e.real, e.imag] for e in row] for row in s] for s in self.states
-            ],
+            "states": [np.stack([s.real, s.imag], -1).tolist() for s in self.states],
         }
         return json.dumps(doc) + "\n"
 
@@ -292,11 +278,12 @@ def integrate_exact(
         raise ValueError("state dimension does not match the parameter set")
 
     def rk4(rho):
-        k1 = gen.rhs(rho)
-        k2 = gen.rhs(rho + 0.5 * h * k1)
-        k3 = gen.rhs(rho + 0.5 * h * k2)
-        k4 = gen.rhs(rho + h * k3)
-        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # Classical RK4 in Horner form: for a linear, time-independent
+        # generator L both are sum_{m<=4} (h L)^m / m! applied to rho.
+        acc = rho
+        for m in (4, 3, 2, 1):
+            acc = rho + (h / m) * gen.rhs(acc)
+        return acc
 
     return _record(rho0, rk4, steps, h, record_every, "exact")
 
@@ -335,6 +322,7 @@ def evolve_trotter_open(
     if noise.n_sites != fmo.n_sites:
         raise ValueError("noise and Hamiltonian parameters disagree on size")
     steps, h = _step_grid(t_max, dt, record_every)
+    ci.check_unitary_register(fmo.n_sites)
     if lowering == "dense-blocks":
         u = trotter_step(fmo, h)
     elif lowering == "compiled-pulses":

@@ -317,14 +317,36 @@ def test_circuit_rejects_unsupported_channels():
         channel_circuit(dephasing_kraus_paper(1.0, 0.5))
 
 
-def test_circuit_diagonalizer_slots():
-    ch = dissipation_kraus(0.9, 0.15)
-    prog = channel_circuit(ch, pre=ci.h(1), post=ci.h(1))
-    hmat = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    for rho in random_states(10, seed=17):
-        got = circuit_action(prog, rho)
-        want = hmat @ apply_kraus(hmat @ rho @ hmat, ch) @ hmat
-        assert np.abs(got - want).max() < 1e-10
+def test_circuit_rejects_angles_that_disagree_with_operators():
+    src = dissipation_kraus(0.8, 0.2)
+    wrong = KrausChannel(src.ops, provenance="handmade", angles=(0.1, 0.2))
+    with pytest.raises(ValueError, match="no circuit realization"):
+        channel_circuit(wrong)
+    alpha, beta = src.angles
+    shifted = KrausChannel(src.ops, provenance="handmade", angles=(alpha + 2 * math.pi, beta))
+    rho = random_states(1, seed=18)[0]
+    got = circuit_action(channel_circuit(shifted), rho)
+    assert np.abs(got - apply_kraus(rho, src)).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        dissipation_kraus(0.5, 1.0),
+        dephasing_kraus_paper(0.5, 1.0),
+        dephasing_kraus_corrected(0.5, 1.0),
+        kraus_from_angles(0.3, -1.2),
+    ],
+    ids=lambda ch: ch.provenance.split("(")[0],
+)
+def test_kraus_apply_round_trips_through_text(ch):
+    prog = ci.Program(2, (ci.h(1), ci.KrausApply(2, ch), ci.MeasureAndDiscard(1)))
+    text = ci.export_text(prog)
+    assert f"cptp={ch.cptp} " in text and f"provenance={ch.provenance} :" in text
+    again = ci.parse_text(text)
+    assert again == prog
+    parsed = again.instructions[1].channel
+    assert (parsed.cptp, parsed.deficit, parsed.angles) == (ch.cptp, ch.deficit, ch.angles)
 
 
 # --- reporting and type hygiene -----------------------------------------------
@@ -355,9 +377,13 @@ def test_channel_report_contents():
 def test_kraus_channel_validation():
     with pytest.raises(ValueError):
         KrausChannel((np.eye(3),), provenance="bad")
-    with pytest.raises(ValueError):
-        KrausChannel((np.eye(2),), provenance="bad", cptp="maybe")
-    ch = KrausChannel((np.eye(2, dtype=complex),), provenance="id", cptp="unchecked")
-    assert ch.cptp == "unchecked" and ch.deficit == 0.0
+    for provenance in ("two\nlines", "a # comment"):
+        with pytest.raises(ValueError, match="provenance"):
+            KrausChannel((np.eye(2),), provenance=provenance)
+    for derived in ("cptp", "deficit"):
+        with pytest.raises(TypeError):
+            KrausChannel((np.diag([1.0, 1.1]),), provenance="bad", **{derived: "verified"})
+    ch = KrausChannel((np.eye(2, dtype=complex),), provenance="id")
+    assert ch.cptp == "verified" and ch.deficit == 0.0
     with pytest.raises(ValueError):
         apply_kraus(np.eye(4) / 4, kraus_from_angles(0, 0))

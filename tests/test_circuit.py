@@ -175,7 +175,7 @@ def test_kraus_apply_amplitude_damping_limit():
     # In the long-time limit amplitude damping sends everything to |0><0|.
     k1 = np.diag([1.0, 0.0])
     k2 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    ins = ci.KrausApply(1, (k1, k2), cptp="verified", label="damp")
+    ins = ci.KrausApply(1, ci.KrausChannel((k1, k2), provenance="damp"))
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
@@ -190,7 +190,7 @@ def test_kraus_preserves_trace_and_positivity():
     a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     v, _ = np.linalg.qr(a)
     k1, k2 = v[:2], v[2:]
-    ins = ci.KrausApply(2, (k1, k2), cptp="verified")
+    ins = ci.KrausApply(2, ci.KrausChannel((k1, k2), provenance="isometry"))
     for _ in range(20):
         b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = b @ b.conj().T
@@ -201,12 +201,55 @@ def test_kraus_preserves_trace_and_positivity():
 
 
 def test_noncptp_kraus_requires_override():
-    bad = ci.KrausApply(1, (np.diag([1.0, 1.1]),), cptp="violated", label="bad")
+    bad = ci.KrausApply(1, ci.KrausChannel((np.diag([1.0, 1.1]),), provenance="bad"))
     prog = ci.Program(1, (bad,))
     with pytest.raises(ValueError, match="CPTP"):
         ci.run_density(prog, ID2 / 2)
     out = ci.run_density(prog, ID2 / 2, allow_noncptp=True)
     assert abs(np.trace(out) - 1) > 1e-3
+
+
+NONCPTP_TEXT = """QUBITS 1
+KRAUS 1 ops=1{status} provenance=diag(1, 1.1) :
+  1+0j 0+0j
+  0+0j 1.1+0j
+"""
+
+
+@pytest.mark.parametrize("route", ["program", "parsed", "apply_kraus"])
+def test_noncptp_operators_refused_however_they_arrive(route, caplog):
+    from fmosim.channels import apply_kraus
+
+    ch = ci.KrausChannel((np.diag([1.0, 1.1]),), provenance="diag(1, 1.1)")
+    assert ch.cptp == "violated" and ch.deficit == pytest.approx(0.21)
+    prog = ci.Program(1, (ci.KrausApply(1, ch),))
+    if route == "parsed":
+        prog = ci.parse_text(NONCPTP_TEXT.format(status=""))
+        assert prog == ci.Program(1, (ci.KrausApply(1, ch),))
+
+    def run(**kw):
+        if route == "apply_kraus":
+            return apply_kraus(ID2 / 2, ch, **kw)
+        return ci.run_density(prog, ID2 / 2, **kw)
+
+    with pytest.raises(ValueError, match="violates CPTP"):
+        run()
+    with caplog.at_level("WARNING"):
+        out = run(allow_noncptp=True)
+    assert np.trace(out).real == pytest.approx(1.105)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "diag(1, 1.1)" in caplog.records[0].getMessage()
+
+
+def test_kraus_header_with_wrong_status_is_parse_error():
+    with pytest.raises(ValueError, match="line 2: cptp=verified disagrees"):
+        ci.parse_text(NONCPTP_TEXT.format(status=" cptp=verified"))
+    assert ci.parse_text(NONCPTP_TEXT.format(status=" cptp=violated")).instructions
+    identity = NONCPTP_TEXT.replace("1.1+0j", "1+0j")
+    with pytest.raises(ValueError, match="cptp=violated disagrees"):
+        ci.parse_text(identity.format(status=" cptp=violated"))
+    with pytest.raises(ValueError, match="cptp=maybe disagrees"):
+        ci.parse_text(identity.format(status=" cptp=maybe"))
 
 
 def test_basis_label_parsing():
@@ -241,7 +284,7 @@ def test_round_trip_fig3_style_circuit():
             ci.h(2),
             ci.ry(-0.233, 2),
             ci.unitary_gate(np.diag([1.0, 1j]), (1,)),
-            ci.KrausApply(1, (k, k2), cptp="verified", label="damp(G=1,t=0.1)"),
+            ci.KrausApply(1, ci.KrausChannel((k, k2), provenance="damp(G=1, t=0.1)")),
             ci.MeasureAndDiscard(2),
         ),
     )

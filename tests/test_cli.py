@@ -251,7 +251,8 @@ def test_evolve_rejects_diverged_state(tmp_path, capsys):
     assert not out.exists() and captured.out == ""
 
 
-def test_evolve_digital_route_capped_at_ten_sites(tmp_path, capsys):
+@pytest.mark.parametrize("lowering", ["dense-blocks", "compiled-pulses"])
+def test_evolve_digital_route_capped_at_ten_sites(tmp_path, capsys, lowering):
     doc = deep(
         BASE,
         (("fmo",), {"epsilon": [1.0] * 11, "nu_bonds": [0.1] * 10}),
@@ -263,7 +264,7 @@ def test_evolve_digital_route_capped_at_ten_sites(tmp_path, capsys):
     cfgp = write_config(tmp_path, doc)
     out = tmp_path / "traj.csv"
     start = time.perf_counter()
-    assert main(["evolve", "--config", cfgp, "--out", str(out)]) == 2
+    assert main(["evolve", "--config", cfgp, "--out", str(out), "--lowering", lowering]) == 2
     assert time.perf_counter() - start < 20.0
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err

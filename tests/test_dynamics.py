@@ -23,7 +23,6 @@ from fmosim.dynamics import (
     evolve_trotter_open,
     initial_density,
     integrate_exact,
-    lindblad_rhs,
     site_populations,
 )
 from fmosim.hamiltonians import (
@@ -112,15 +111,16 @@ def test_rhs_matches_naive_operator_form():
     noise = NoiseParameters(rng.uniform(0, 0.4, n), rng.uniform(0, 0.4, n))
     for s in range(10):
         rho = random_density(n, seed=s)
-        got = lindblad_rhs(rho, fmo, noise)
+        got = LindbladGenerator(fmo, noise).rhs(rho)
         assert np.abs(got - naive_rhs(rho, fmo, noise)).max() < 1e-13
 
 
 def test_rhs_traceless_and_hermiticity_preserving():
     fmo = chain_fmo(3, seed=3)
     noise = NoiseParameters.uniform(3, 0.2, 0.3)
+    gen = LindbladGenerator(fmo, noise)
     for s in range(50):
-        d = lindblad_rhs(random_density(3, seed=s), fmo, noise)
+        d = gen.rhs(random_density(3, seed=s))
         assert abs(np.trace(d)) < 1e-12
         assert np.abs(d - d.conj().T).max() < 1e-12
 
@@ -129,7 +129,7 @@ def test_rhs_vanishes_on_eigenprojector_without_noise():
     fmo = chain_fmo(3, seed=4)
     _, vecs = np.linalg.eigh(build_fmo_h(fmo))
     proj = np.outer(vecs[:, 2], vecs[:, 2].conj())
-    d = lindblad_rhs(proj, fmo, NoiseParameters.uniform(3, 0, 0))
+    d = LindbladGenerator(fmo, NoiseParameters.uniform(3, 0, 0)).rhs(proj)
     assert np.abs(d).max() < 1e-12
 
 
@@ -138,14 +138,14 @@ def test_rhs_single_site_dephasing_rate():
     fmo = FmoParameters(epsilon=np.zeros(1), nu=np.zeros((1, 1)))
     noise = NoiseParameters(np.zeros(1), np.array([0.7]))
     plus = 0.5 * np.ones((2, 2), dtype=complex)
-    d = lindblad_rhs(plus, fmo, noise)
+    d = LindbladGenerator(fmo, noise).rhs(plus)
     assert d[0, 1] == pytest.approx(-0.7 * 0.5, abs=1e-14)
     assert abs(d[0, 0]) < 1e-14
 
 
 def test_rhs_dimension_mismatch():
     with pytest.raises(ValueError):
-        lindblad_rhs(np.eye(4) / 4, chain_fmo(3), NoiseParameters.uniform(3, 0, 0))
+        integrate_exact(np.eye(4) / 4, chain_fmo(3), NoiseParameters.uniform(3, 0, 0), 0.1, 0.1)
     with pytest.raises(ValueError):
         LindbladGenerator(chain_fmo(3), NoiseParameters.uniform(4, 0, 0))
 
@@ -368,6 +368,23 @@ def test_rhs_matches_gather_refill_reference(n):
     assert np.abs(got - gather_refill_rhs(rho, fmo, noise)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rk4_step_matches_classical_rk4(n):
+    rng = np.random.default_rng(40 + n)
+    fmo = chain_fmo(n, seed=n)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    rho = random_density(n, seed=n + 2)
+    h = 0.05
+    rhs = LindbladGenerator(fmo, noise).rhs
+    k1 = rhs(rho)
+    k2 = rhs(rho + 0.5 * h * k1)
+    k3 = rhs(rho + 0.5 * h * k2)
+    k4 = rhs(rho + h * k3)
+    want = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = integrate_exact(rho, fmo, noise, h, h).final_state()
+    assert np.abs(got - want).max() <= 1e-14
+
+
 # --- step unitary against the dense product it replaced -------------------------------
 
 
@@ -454,3 +471,27 @@ def test_trajectory_state_json():
     doc = json.loads(traj.to_state_json())
     assert doc["method"] == "exact"
     assert doc["states"][0][0][1] == [0.0, 0.5]
+
+
+def test_state_json_matches_nested_comprehension():
+    import json
+
+    rng = np.random.default_rng(5)
+    states = []
+    for n in (1, 2, 3):
+        rho = random_density(n, seed=n)
+        rho.real[rng.random(rho.shape) < 0.3] = -0.0
+        rho.imag[rng.random(rho.shape) < 0.3] = -0.0
+        rho[0, -1], rho[-1, 0] = complex(-0.0, -0.0), complex(0.0, -0.0)
+        rho[np.diag_indices(2**n)] = 1 / 2**n
+        states.append(rho)
+    for rho in states:
+        traj = Trajectory((0.0, 1.0), (rho, rho), "exact")
+        want = {
+            "method": "exact",
+            "times": [0.0, 1.0],
+            "states": [[[[e.real, e.imag] for e in row] for row in s] for s in traj.states],
+        }
+        text = traj.to_state_json()
+        assert "[-0.0, -0.0]" in text and "[0.0, -0.0]" in text
+        assert text == json.dumps(want) + "\n"
