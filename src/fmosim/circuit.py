@@ -57,6 +57,7 @@ __all__ = [
     "run_statevector",
     "run_density",
     "unitary_of",
+    "embed",
     "check_unitary_register",
     "partial_trace",
     "export_text",
@@ -261,17 +262,33 @@ def gate_matrix(g: Gate) -> np.ndarray:
 
 # --- simulators -------------------------------------------------------------
 #
-# States are reshaped to rank-n tensors (one axis per qubit, qubit 1 first);
-# a k-qubit operator contracts its k input axes against the target qubits and
-# the result axes are moved back in place.
+# States are reshaped to rank-n tensors (one axis per qubit, qubit 1 first).
+# One kernel, ``_apply``, places every local operator: it moves the k target
+# axes next to each other at the position of the first of them (a no-op for
+# ascending neighbours), multiplies the contiguous (2^lo, 2^k, rest) view by
+# the 2^k x 2^k operator with one matmul, and moves the axes back.  Gates,
+# Kraus operators, ``unitary_of`` and ``embed`` (a dense local operator, used
+# to build Hamiltonians and target unitaries) all go through it.
 
 
-def _apply(tensor: np.ndarray, u: np.ndarray, qubits: Sequence[int], offset: int) -> np.ndarray:
+def _apply(tensor: np.ndarray, op: np.ndarray, qubits: Sequence[int], offset: int) -> np.ndarray:
     k = len(qubits)
     axes = [offset + q - 1 for q in qubits]
-    ut = u.reshape((2,) * (2 * k))
-    out = np.tensordot(ut, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
+    lo = min(axes)
+    block = list(range(lo, lo + k))
+    t = np.moveaxis(tensor, axes, block)
+    out = np.matmul(op, t.reshape(2**lo, 2**k, -1))
+    return np.moveaxis(out.reshape(t.shape), block, axes)
+
+
+def embed(op: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of the local operator ``op`` acting on ``qubits``."""
+    qubits = tuple(qubits)
+    if len(set(qubits)) != len(qubits) or any(not 1 <= q <= n for q in qubits):
+        raise ValueError(f"qubits {qubits} are repeated or outside register 1..{n}")
+    dim = 2**n
+    eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    return _apply(eye, op, qubits, 0).reshape(dim, dim)
 
 
 def parse_basis_label(init: str | int, n: int) -> np.ndarray:

@@ -76,19 +76,6 @@ class RunConfig:
     initial_state: str
     output: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return (
-            np.array_equal(self.fmo.epsilon, other.fmo.epsilon)
-            and np.array_equal(self.fmo.nu, other.fmo.nu)
-            and np.array_equal(self.noise.dissipation, other.noise.dissipation)
-            and np.array_equal(self.noise.dephasing, other.noise.dephasing)
-            and np.array_equal(self.nmr.omega, other.nmr.omega)
-            and np.array_equal(self.nmr.j, other.nmr.j)
-            and (self.t_max, self.dt, self.method, self.initial_state, self.output)
-            == (other.t_max, other.dt, other.method, other.initial_state, other.output)
-        )
 
 
 def _require_keys(doc: dict, where: str, required: set, optional: set = frozenset()):
@@ -204,32 +191,6 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config.output values must be path strings")
 
     return RunConfig(fmo, noise, nmr, t_max, dt, method, initial_state, dict(output))
-
-
-def emit_config(cfg: RunConfig) -> dict:
-    """Inverse of parse_config: a JSON-ready document."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "fmo": {
-            "epsilon": [float(x) for x in cfg.fmo.epsilon],
-            "nu": [[float(x) for x in row] for row in cfg.fmo.nu],
-        },
-        "noise": {
-            "dissipation": [float(x) for x in cfg.noise.dissipation],
-            "dephasing": [float(x) for x in cfg.noise.dephasing],
-        },
-        "nmr": {
-            "omega": [float(x) for x in cfg.nmr.omega],
-            "j": [float(x) for x in cfg.nmr.j],
-        },
-        "evolution": {
-            "t_max": cfg.t_max,
-            "dt": cfg.dt,
-            "method": cfg.method,
-            "initial_state": cfg.initial_state,
-        },
-        "output": dict(cfg.output),
-    }
 
 
 def load_config(path: str) -> RunConfig:

@@ -42,17 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as ci
-from .hamiltonians import NmrParameters, nmr_diagonal
-from .qcore import (
-    SCHEDULE_VERIFY_ATOL,
-    SX,
-    SY,
-    SZ,
-    average_gate_overlap,
-    matexp_hermitian,
-    pauli_embed,
-    phase_align,
-)
+from .hamiltonians import XY_HOPPING, NmrParameters, nmr_diagonal
+from .qcore import SCHEDULE_VERIFY_ATOL, SZ, average_gate_overlap, matexp_hermitian, phase_align
+from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
     "hadamard_matrix",
@@ -281,6 +273,10 @@ def _descriptor(kind: str, sites: tuple[int, ...], coeff: float) -> str:
     return f"{kind}:{','.join(str(q) for q in sites)} coeff={coeff:.17g}"
 
 
+# The local Pauli term P of each target kind, on its one or two sites.
+_TERMS = {"z": SZ, "zz": np.kron(SZ, SZ), "xy": XY_HOPPING}
+
+
 def parse_descriptor(desc: str) -> tuple[str, tuple[int, ...], float]:
     """Split 'kind:sites coeff=value' into its parts."""
     try:
@@ -288,7 +284,7 @@ def parse_descriptor(desc: str) -> tuple[str, tuple[int, ...], float]:
         kind, _, sites_s = head.partition(":")
         sites = tuple(int(t) for t in sites_s.split(","))
         key, _, value = tail.partition("=")
-        if key != "coeff" or kind not in ("z", "zz", "xy"):
+        if key != "coeff" or kind not in _TERMS or len(_TERMS[kind]) != 2 ** len(sites):
             raise ValueError
         return kind, sites, float(value)
     except ValueError:
@@ -296,18 +292,16 @@ def parse_descriptor(desc: str) -> tuple[str, tuple[int, ...], float]:
 
 
 def target_unitary(desc: str, n_qubits: int) -> np.ndarray:
-    """Dense unitary the descriptor promises: exp(-i coeff * P) for its Pauli term."""
+    """Dense unitary the descriptor promises: exp(-i coeff * P), placed on its sites."""
     kind, sites, coeff = parse_descriptor(desc)
+    return ci.embed(matexp_hermitian(_TERMS[kind], -1j * coeff), sites, n_qubits)
+
+
+def _coefficient(kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters) -> float:
+    """Coefficient of a compiled term: 0.5 tau omega_l for z, tau J_l for zz and xy."""
     if kind == "z":
-        op = pauli_embed(SZ, sites[0], n_qubits)
-    elif kind == "zz":
-        op = pauli_embed(SZ, sites[0], n_qubits) @ pauli_embed(SZ, sites[1], n_qubits)
-    else:
-        l, r = sites
-        op = pauli_embed(SX, l, n_qubits) @ pauli_embed(SX, r, n_qubits) + pauli_embed(
-            SY, l, n_qubits
-        ) @ pauli_embed(SY, r, n_qubits)
-    return matexp_hermitian(op, -1j * coeff)
+        return 0.5 * tau * params.omega[sites[0] - 1]
+    return tau * params.j[sites[0] - 1]
 
 
 def _parity_column(n: int, equal_after: int | None) -> np.ndarray:
@@ -336,7 +330,7 @@ def compile_single_z(l: int, tau: float, params: NmrParameters) -> PulseSchedule
             a[q - 1] = -1
     s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
     check_decoupling_sign_matrix(s, l)
-    coeff = 0.5 * tau * params.omega[l - 1]
+    coeff = _coefficient("z", (l,), tau, params)
     return schedule_from_sign_matrix(s, tau, _descriptor("z", (l,), coeff))
 
 
@@ -353,7 +347,7 @@ def compile_zz(pair: tuple[int, int], tau: float, params: NmrParameters) -> Puls
     b = -np.ones(n, dtype=int)
     s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
     check_recoupling_sign_matrix(s, pair)
-    coeff = tau * params.j[l - 1]
+    coeff = _coefficient("zz", pair, tau, params)
     return schedule_from_sign_matrix(s, tau, _descriptor("zz", pair, coeff))
 
 
@@ -361,7 +355,7 @@ def compile_xy(pair: tuple[int, int], tau: float, params: NmrParameters) -> Conj
     """exp(-i tau J_l (XX + YY)) as two basis-changed ZZ segments."""
     l, r = pair
     zz = compile_zz(pair, tau, params)
-    coeff = tau * params.j[l - 1]
+    coeff = _coefficient("xy", pair, tau, params)
     hh = (ci.h(l), ci.h(r))
     gm = (ci.rx(-math.pi / 2, l), ci.rx(-math.pi / 2, r))
     gp = (ci.rx(math.pi / 2, l), ci.rx(math.pi / 2, r))
@@ -441,16 +435,6 @@ class VerificationReport:
         return line + (f"  ({self.note})" if self.note else "")
 
 
-def _runtime_coefficient(
-    sched: PulseSchedule | ConjugatedSchedule, params: NmrParameters
-) -> float:
-    kind, sites, _ = parse_descriptor(sched.target)
-    tau = sched.target_time
-    if kind == "z":
-        return 0.5 * tau * params.omega[sites[0] - 1]
-    return tau * params.j[sites[0] - 1]
-
-
 def verify_schedule(
     sched: PulseSchedule | ConjugatedSchedule,
     params: NmrParameters,
@@ -463,15 +447,17 @@ def verify_schedule(
     report carries the operator-norm error and |tr(U^dag V)| / 2^n.  If the
     supplied parameters imply a different effective coefficient than the one
     recorded in the target descriptor, the mismatch is noted (and will
-    generally show up as a failure).
+    generally show up as a failure).  Registers over 10 qubits are refused
+    before any work, as ``unitary_of`` would refuse them.
     """
+    ci.check_unitary_register(sched.n_qubits)
     kind, sites, coeff = parse_descriptor(sched.target)
     v = target_unitary(sched.target, sched.n_qubits)
     u = ci.unitary_of(schedule_program(sched, params, lowering))
     u = phase_align(u, v)
     err = float(np.linalg.norm(u - v, 2))
     fid = average_gate_overlap(u, v)
-    run_coeff = _runtime_coefficient(sched, params)
+    run_coeff = _coefficient(kind, sites, sched.target_time, params)
     note = ""
     if abs(run_coeff - coeff) > 1e-12 * max(1.0, abs(coeff)):
         note = (

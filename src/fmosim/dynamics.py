@@ -11,8 +11,9 @@ Two evolution routes for the same model:
   brute-force oracle the digital pipeline is judged against.
 
 * ``evolve_trotter_open``: per step, the first-order split unitary
-  e^{-i H0 dt} * prod_pairs e^{-i H_pair dt}, whose factor order is the
-  gate program ``hamiltonians.trotter_program``, then per site the exact
+  prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one gate
+  per local term of ``hamiltonians.fmo_terms`` in the gate program
+  ``hamiltonians.trotter_program``, then per site the exact
   finite-time dissipation and corrected dephasing channels.  These commute
   and act elementwise in the occupation basis, on the per-site blocks of rho
   (``_site_blocks``) that the generator's decay and refill terms also use.
@@ -293,8 +294,8 @@ def _compiled_step_unitary(fmo: FmoParameters, dt: float) -> np.ndarray:
     nmr = nmr_from_fmo(fmo)
     ins: list = []
     for g in trotter_program(fmo, dt).instructions:
-        rz = g.kind == "RZ"
-        sched = compile_single_z(g.qubits[0], dt, nmr) if rz else compile_xy(g.qubits, dt, nmr)
+        one = len(g.qubits) == 1
+        sched = compile_single_z(g.qubits[0], dt, nmr) if one else compile_xy(g.qubits, dt, nmr)
         ins.extend(schedule_program(sched, nmr).instructions)
     return ci.unitary_of(ci.Program(fmo.n_sites, tuple(ins)))
 

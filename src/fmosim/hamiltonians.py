@@ -1,23 +1,27 @@
 """Hamiltonians of the exciton chain and of the spin-chain simulator.
 
-The exciton (FMO) Hamiltonian is split into on-site energies and a hopping
-term,
+The exciton (FMO) Hamiltonian is a sum of local terms,
 
-    H0 = sum_j eps_j Z_j
-    HI = sum_{j != l} nu_{jl} (X_j X_l + Y_j Y_l),
+    H = sum_{j < l} 2 nu_{jl} (X_j X_l + Y_j Y_l) + sum_j eps_j Z_j,
 
-where the interaction sum runs over ordered pairs, so every unordered pair
-contributes twice and the effective hopping amplitude of a bond (l, l+1) is
-J_l = 2 nu_{l,l+1}.  The simulator chain is a longitudinal Ising chain,
+one two-site hopping term per coupled pair and one Z term per site with
+nonzero energy.  The hopping written as a sum over ordered pairs j != l
+counts every unordered pair twice, hence the factor 2: the effective hopping
+amplitude of a bond (l, l+1) is J_l = 2 nu_{l,l+1}.  The simulator chain is a
+longitudinal Ising chain,
 
     H_NMR = sum_l (omega_l / 2) Z_l + sum_l J_l Z_l Z_{l+1},
 
 which is diagonal in the computational basis.
 
-The factor order of the first-order step e^{-i H0 dt} * prod_{pairs
-ascending} e^{-i H_pair dt} is defined once, as the gate program
-``trotter_program``; ``trotter_step`` is its unitary and ``trotter_unitary``
-its N-th power, whose error vanishes as 1/N at fixed t.
+The terms exist once, as the list ``fmo_terms`` of (sites, small Hermitian
+matrix) in the first-order step's factor order: pairs descending, then
+sites.  ``build_fmo_h`` places and sums them (``circuit.embed``), and
+``trotter_program`` turns each into one gate e^{-i dt term}, so its unitary
+``trotter_step`` is prod_s e^{-i dt eps_s Z_s} * prod_{pairs ascending}
+e^{-i dt H_pair}; ``trotter_unitary`` is its N-th power, whose error
+vanishes as 1/N at fixed t.  ``XY_HOPPING`` = XX + YY is shared with the
+pulse compiler's target unitaries.
 """
 
 from __future__ import annotations
@@ -27,22 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as ci
-from .qcore import SX, SY, SZ, matexp_hermitian, pauli_embed
+from .qcore import SX, SY, SZ, matexp_hermitian
+from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
+    "XY_HOPPING",
     "FmoParameters",
     "NmrParameters",
-    "build_fmo_h0",
-    "build_fmo_hi",
+    "fmo_terms",
     "build_fmo_h",
     "build_nmr_h",
     "nmr_diagonal",
     "nmr_from_fmo",
-    "pair_hopping_h",
     "trotter_program",
     "trotter_step",
     "trotter_unitary",
 ]
+
+XY_HOPPING = np.kron(SX, SX) + np.kron(SY, SY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,34 +114,26 @@ class NmrParameters:
         return self.omega.shape[0]
 
 
-def build_fmo_h0(p: FmoParameters) -> np.ndarray:
-    """On-site part: sum_j eps_j Z_j (diagonal)."""
-    n = p.n_sites
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for site in range(1, n + 1):
-        h += p.epsilon[site - 1] * pauli_embed(SZ, site, n)
-    return h
+def fmo_terms(p: FmoParameters) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The local terms of H as (sites, matrix), in the step's factor order.
 
-
-def pair_hopping_h(p: FmoParameters, j: int, l: int) -> np.ndarray:
-    """Both ordered contributions of one pair: 2 nu_{jl} (X_j X_l + Y_j Y_l)."""
-    n = p.n_sites
-    xx = pauli_embed(SX, j, n) @ pauli_embed(SX, l, n)
-    yy = pauli_embed(SY, j, n) @ pauli_embed(SY, l, n)
-    return 2.0 * p.nu[j - 1, l - 1] * (xx + yy)
-
-
-def build_fmo_hi(p: FmoParameters) -> np.ndarray:
-    """Hopping part over ordered site pairs (each unordered pair twice)."""
-    n = p.n_sites
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for j, l in p.coupled_pairs():
-        h += pair_hopping_h(p, j, l)
-    return h
+    2 nu_jl (XX + YY) on every coupled pair (j, l), pairs descending, then
+    eps_s Z on every site s with eps_s != 0.
+    """
+    terms = [
+        ((j, l), 2.0 * p.nu[j - 1, l - 1] * XY_HOPPING) for j, l in reversed(p.coupled_pairs())
+    ]
+    terms += [((s,), e * SZ) for s, e in enumerate(p.epsilon, 1) if e != 0.0]
+    return terms
 
 
 def build_fmo_h(p: FmoParameters) -> np.ndarray:
-    return build_fmo_h0(p) + build_fmo_hi(p)
+    """Dense H: the sum of the placed local terms of ``fmo_terms``."""
+    n = p.n_sites
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for sites, term in fmo_terms(p):
+        h += ci.embed(term, sites, n)
+    return h
 
 
 def nmr_diagonal(p: NmrParameters) -> np.ndarray:
@@ -170,18 +168,10 @@ def nmr_from_fmo(p: FmoParameters) -> NmrParameters:
 
 
 def trotter_program(p: FmoParameters, dt: float) -> ci.Program:
-    """The step's factor order, defined once, as a gate program.
-
-    In circuit time: e^{-i H_pair dt} on (j, l) for the coupled pairs in
-    descending order, then RZ(2 eps_s dt) = e^{-i dt eps_s Z_s} on every site
-    with nonzero energy.
-    """
-    hop = np.kron(SX, SX) + np.kron(SY, SY)
+    """The first-order step as one UNITARY gate e^{-i dt term} per local term."""
     ins = [
-        ci.unitary_gate(matexp_hermitian(2.0 * p.nu[j - 1, l - 1] * hop, -1j * dt), (j, l))
-        for j, l in reversed(p.coupled_pairs())
+        ci.unitary_gate(matexp_hermitian(term, -1j * dt), sites) for sites, term in fmo_terms(p)
     ]
-    ins += [ci.rz(2.0 * e * dt, s) for s, e in enumerate(p.epsilon, 1) if e != 0.0]
     return ci.Program(p.n_sites, tuple(ins))
 
 
@@ -191,7 +181,7 @@ def trotter_step(p: FmoParameters, dt: float) -> np.ndarray:
 
 
 def trotter_unitary(p: FmoParameters, t: float, n_steps: int) -> np.ndarray:
-    """First-order Trotter approximation of e^{-i (H0 + HI) t}."""
+    """First-order Trotter approximation of e^{-i H t}."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return np.linalg.matrix_power(trotter_step(p, t / n_steps), n_steps)

@@ -152,6 +152,73 @@ def test_unitary_of_register_cap():
         ci.unitary_of(ci.Program(11, (ci.x(1),)))
 
 
+# --- the matmul kernel against the tensordot kernel it replaced ---------------------
+
+
+def tensordot_apply(tensor, u, qubits, offset):
+    """Reference kernel: contract u's input axes with tensordot, then move axes back."""
+    k = len(qubits)
+    axes = [offset + q - 1 for q in qubits]
+    ut = u.reshape((2,) * (2 * k))
+    out = np.tensordot(ut, tensor, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes)
+
+
+def random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_kernel_program(n, rng, noisy):
+    """Random 1-3-qubit UNITARY gates in any qubit order; if noisy, Kraus and discards too."""
+    ins, live = [], n
+    for _ in range(10):
+        k = int(rng.integers(1, min(3, live) + 1))
+        qubits = tuple(int(q) + 1 for q in rng.permutation(live)[:k])
+        ins.append(ci.unitary_gate(random_unitary(2**k, rng), qubits))
+        if noisy and rng.random() < 0.4:
+            g = rng.uniform()
+            ops = (np.diag([1.0, np.sqrt(1.0 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
+            ch = ci.KrausChannel(ops, provenance=f"damp({g:.3f})")
+            ins.append(ci.KrausApply(int(rng.integers(1, live + 1)), ch))
+        if noisy and live > 1 and rng.random() < 0.15:
+            ins.append(ci.MeasureAndDiscard(int(rng.integers(1, live + 1))))
+            live -= 1
+    return ci.Program(n, tuple(ins))
+
+
+def test_matmul_kernel_matches_tensordot_kernel(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in range(1, 7):
+        for _ in range(4):
+            psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = a @ a.conj().T
+            gates = random_kernel_program(n, rng, noisy=False)
+            noisy = random_kernel_program(n, rng, noisy=True)
+            cases.append((gates, noisy, psi / np.linalg.norm(psi), rho / np.trace(rho)))
+    placements = [g.qubits for gates, _, _, _ in cases for g in gates.instructions]
+    assert any(list(q) != sorted(q) for q in placements)  # descending
+    assert any(max(q) - min(q) >= len(q) for q in placements)  # non-adjacent
+    assert any(len(q) == 3 for q in placements)
+    kinds = {type(ins) for _, noisy, _, _ in cases for ins in noisy.instructions}
+    assert {ci.KrausApply, ci.MeasureAndDiscard} <= kinds
+
+    def run_all():
+        return [
+            (ci.unitary_of(gates), ci.run_statevector(gates, psi), ci.run_density(noisy, rho))
+            for gates, noisy, psi, rho in cases
+        ]
+
+    new = run_all()
+    monkeypatch.setattr(ci, "_apply", tensordot_apply)
+    old = run_all()
+    for got, want in zip(new, old):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
+
+
 def test_partial_trace_product_state():
     rho_a = np.array([[0.75, 0.1j], [-0.1j, 0.25]])
     rho_b = np.array([[0.5, 0.2], [0.2, 0.5]])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fmosim import circuit as ci
-from fmosim.cli import ConfigError, emit_config, main, parse_config
-from fmosim.compiler import PulseSchedule, schedule_from_json
+from fmosim.cli import ConfigError, main, parse_config
+from fmosim.compiler import PulseSchedule, compile_xy, schedule_from_json, schedule_to_json
+from fmosim.hamiltonians import NmrParameters
 
 BASE = {
     "schema_version": 1,
@@ -40,11 +41,6 @@ def deep(doc, *edits):
 
 
 # --- configuration ------------------------------------------------------------
-
-
-def test_config_round_trip():
-    cfg = parse_config(BASE)
-    assert parse_config(emit_config(cfg)) == cfg
 
 
 def test_config_full_matrix_and_derived_nmr():
@@ -270,6 +266,31 @@ def test_evolve_digital_route_capped_at_ten_sites(tmp_path, capsys, lowering):
     assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_compile_and_verify_capped_at_ten_sites(tmp_path, capsys, command):
+    doc = deep(
+        BASE,
+        (("fmo",), {"epsilon": [1.0] * 11, "nu_bonds": [0.1] * 10}),
+        (("noise",), {"dissipation": [0.05] * 11, "dephasing": [0.05] * 11}),
+        (("nmr",), ...),
+    )
+    cfgp = write_config(tmp_path, doc)
+    sched = tmp_path / "schedule.json"
+    if command == "compile":
+        argv = ["compile", "xy:1,2", "--tau", "0.5", "--config", cfgp, "--out", str(sched)]
+    else:
+        nmr = NmrParameters(np.full(11, 2.0), np.full(10, 0.2))
+        sched.write_text(schedule_to_json(compile_xy((1, 2), 0.5, nmr)))
+        argv = ["verify", str(sched), "--config", cfgp]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and (command == "verify" or not sched.exists())
 
 
 # --- channel --------------------------------------------------------------------

@@ -34,7 +34,7 @@ from fmosim.compiler import (
     verify_schedule,
 )
 from fmosim.hamiltonians import NmrParameters, build_nmr_h
-from fmosim.qcore import SX, SY, matexp_hermitian, pauli_embed
+from fmosim.qcore import SX, SY, SZ, matexp_hermitian, pauli_embed
 
 
 def params7(seed: int | None = None) -> NmrParameters:
@@ -337,6 +337,43 @@ def test_descriptor_round_trip():
         parse_descriptor("yy:1 coeff=1")
     with pytest.raises(ValueError):
         parse_descriptor("z:1 angle=1")
+    for desc in ("z:1,2 coeff=1", "xy:3 coeff=1", "zz:1,2,3 coeff=1"):
+        with pytest.raises(ValueError, match="malformed target descriptor"):
+            parse_descriptor(desc)
+
+
+def pauli_embed_target(kind, sites, coeff, n):
+    """Reference: exp(-i coeff P), with P built from 2^n x 2^n pauli_embed products."""
+    a, b = sites[0], sites[-1]
+    if kind == "z":
+        op = pauli_embed(SZ, a, n)
+    elif kind == "zz":
+        op = pauli_embed(SZ, a, n) @ pauli_embed(SZ, b, n)
+    else:
+        xx = pauli_embed(SX, a, n) @ pauli_embed(SX, b, n)
+        op = xx + pauli_embed(SY, a, n) @ pauli_embed(SY, b, n)
+    return matexp_hermitian(op, -1j * coeff)
+
+
+def test_target_unitary_matches_pauli_embed_exponential():
+    rng = np.random.default_rng(29)
+    for n in range(1, 8):
+        coeff = rng.uniform(-2.0, 2.0)
+        targets = [("z", (q,)) for q in range(1, n + 1)]
+        targets += [
+            (kind, (a, b))
+            for kind in ("zz", "xy")
+            for a in range(1, n + 1)
+            for b in range(1, n + 1)
+            if a != b
+        ]
+        for kind, sites in targets:
+            desc = f"{kind}:{','.join(map(str, sites))} coeff={coeff!r}"
+            want = pauli_embed_target(kind, sites, coeff, n)
+            assert np.abs(target_unitary(desc, n) - want).max() <= 1e-14, desc
+    for desc in ("z:0 coeff=1", "z:5 coeff=1", "xy:3,3 coeff=1", "zz:1,5 coeff=1"):
+        with pytest.raises(ValueError):
+            target_unitary(desc, 4)
 
 
 def test_target_unitary_single_z_diagonal():

@@ -28,11 +28,9 @@ from fmosim.dynamics import (
 from fmosim.hamiltonians import (
     FmoParameters,
     build_fmo_h,
-    build_fmo_h0,
-    pair_hopping_h,
     trotter_step,
 )
-from fmosim.qcore import matexp_hermitian, pauli_embed, trace_distance
+from fmosim.qcore import SX, SY, SZ, matexp_hermitian, pauli_embed, trace_distance
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 NP_ = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -402,9 +400,13 @@ def random_couplings(n, rng):
 
 def dense_trotter_step(fmo, dt):
     """Reference step: diag(e^{-i dt h0}) times dense pair exponentials, ascending."""
-    u = np.diag(np.exp(-1j * dt * np.diag(build_fmo_h0(fmo)).real))
+    n = fmo.n_sites
+    h0 = sum(e * pauli_embed(SZ, s, n) for s, e in enumerate(fmo.epsilon, 1))
+    u = np.diag(np.exp(-1j * dt * np.diag(h0).real))
     for j, l in fmo.coupled_pairs():
-        u = u @ matexp_hermitian(pair_hopping_h(fmo, j, l), -1j * dt)
+        xx = pauli_embed(SX, j, n) @ pauli_embed(SX, l, n)
+        yy = pauli_embed(SY, j, n) @ pauli_embed(SY, l, n)
+        u = u @ matexp_hermitian(2.0 * fmo.nu[j - 1, l - 1] * (xx + yy), -1j * dt)
     return u
 
 

@@ -7,8 +7,6 @@ from fmosim.hamiltonians import (
     FmoParameters,
     NmrParameters,
     build_fmo_h,
-    build_fmo_h0,
-    build_fmo_hi,
     build_nmr_h,
     nmr_diagonal,
     nmr_from_fmo,
@@ -55,13 +53,13 @@ class TestParameters:
 class TestFmoH0:
     def test_single_site_energy(self):
         p = FmoParameters(np.array([1.0, 0, 0, 0, 0, 0, 0]), np.zeros((7, 7)))
-        d = np.diag(build_fmo_h0(p)).real
+        d = np.diag(build_fmo_h(p)).real
         for b in range(128):
             assert d[b] == (1.0 if (b >> 6) & 1 == 0 else -1.0)
 
     def test_uniform_energies(self):
         p = FmoParameters(np.ones(7), np.zeros((7, 7)))
-        d = np.diag(build_fmo_h0(p)).real
+        d = np.diag(build_fmo_h(p)).real
         for b in range(128):
             assert d[b] == 7 - 2 * bin(b).count("1")
 
@@ -73,8 +71,8 @@ class TestFmoHi:
         nu = 0.37
         hand = 2 * nu * (np.kron(SX, SX) + np.kron(SY, SY))
         p = FmoParameters(np.zeros(2), np.array([[0.0, nu], [nu, 0.0]]))
-        np.testing.assert_allclose(build_fmo_hi(p), hand, atol=1e-14)
-        assert build_fmo_hi(p)[1, 2] == pytest.approx(4 * nu)
+        np.testing.assert_allclose(build_fmo_h(p), hand, atol=1e-14)
+        assert build_fmo_h(p)[1, 2] == pytest.approx(4 * nu)
 
     def test_hermitian(self):
         p = random_fmo(5, np.random.default_rng(0))
@@ -90,9 +88,31 @@ class TestFmoHi:
         nu = np.zeros((3, 3))
         nu[0, 2] = nu[2, 0] = 0.25
         p = FmoParameters(np.zeros(3), nu)
-        hi = build_fmo_hi(p)
+        hi = build_fmo_h(p)
         # |100> <-> |001| hopping present
         assert abs(hi[4, 1]) == pytest.approx(4 * 0.25)
+
+
+def pauli_embed_h(p):
+    """Reference H: sum_j eps_j Z_j plus 2 nu_jl (XX + YY) per pair, from pauli_embed."""
+    n = p.n_sites
+    h = sum(p.epsilon[s - 1] * pauli_embed(SZ, s, n) for s in range(1, n + 1))
+    for j, l in p.coupled_pairs():
+        xx = pauli_embed(SX, j, n) @ pauli_embed(SX, l, n)
+        yy = pauli_embed(SY, j, n) @ pauli_embed(SY, l, n)
+        h = h + 2.0 * p.nu[j - 1, l - 1] * (xx + yy)
+    return h
+
+
+def test_build_fmo_h_matches_pauli_embed_sum():
+    rng = np.random.default_rng(23)
+    for n in range(1, 8):
+        p = random_fmo(n, rng)
+        assert len(p.coupled_pairs()) == n * (n - 1) // 2
+        eps = p.epsilon.copy()
+        eps[rng.integers(n)] = 0.0
+        p = FmoParameters(eps, p.nu)
+        assert np.abs(build_fmo_h(p) - pauli_embed_h(p)).max() <= 1e-14
 
 
 class TestNmr:
