@@ -197,11 +197,12 @@ def bloch_map(ch: KrausChannel) -> AffineChannel:
     Columns are probed with the Pauli basis, the shift with the maximally
     mixed state.  For a trace-preserving channel this is the usual affine map
     of the Bloch ball; for a flagged non-TP channel it is still the linear
-    action on the (x, y, z) components, reported for diagnostics.
+    action on the (x, y, z) components, reported for diagnostics, so it
+    calls ``circuit.operator_sum`` directly, without the CPTP gate.
     """
 
     def act(rho: np.ndarray) -> np.ndarray:
-        out = sum(k @ rho @ k.conj().T for k in ch.ops)
+        out = ci.operator_sum(rho, ch.ops)
         return np.array(
             [np.trace(s @ out).real for s in (SX, SY, SZ)], dtype=float
         )

@@ -12,7 +12,8 @@ places it on a qubit, and ``fmosim.channels`` builds the physical channels as
 instances of it.  Its CPTP status and completeness deficit are always
 computed from the operators.  Applying a channel whose status is
 ``violated`` (``run_density``, ``channels.apply_kraus``) raises unless the
-caller passes ``allow_noncptp``, and then logs a warning.
+caller passes ``allow_noncptp``, and then logs a warning.  Behind that gate
+``operator_sum`` is the one place the sum K rho K^dag is taken.
 
 The text format is line based: ``GATE(angle) qubits...`` with 1-based qubit
 indices, ``#`` comments, and ``UNITARY q... :`` / ``KRAUS q ... :`` headers
@@ -56,6 +57,7 @@ __all__ = [
     "gate_matrix",
     "run_statevector",
     "run_density",
+    "operator_sum",
     "unitary_of",
     "embed",
     "check_unitary_register",
@@ -356,15 +358,28 @@ def run_density(
                     ch.provenance,
                     ch.deficit,
                 )
-            t = sum(
-                _apply(_apply(t, k, (ins.qubit,), 0), k.conj(), (ins.qubit,), n)
-                for k in ch.ops
-            )
+            t = operator_sum(t.reshape(2**n, 2**n), ch.ops, ins.qubit).reshape((2,) * (2 * n))
         else:
             rho_m = partial_trace(t.reshape(2**n, 2**n), _others(ins.qubit, n), n)
             n -= 1
             t = rho_m.reshape((2,) * (2 * n))
     return t.reshape(2**n, 2**n)
+
+
+def operator_sum(rho: np.ndarray, ops: Sequence[np.ndarray], qubit: int = 1) -> np.ndarray:
+    """sum_k K_k rho K_k^dag, each 2x2 K_k acting on ``qubit`` of a 2^n x 2^n rho.
+
+    The operator sum alone, with no CPTP check: ``run_density`` calls it
+    after its gate on ``violated`` channels, and a diagnostic that must see
+    a non-CPTP channel's action (``channels.bloch_map``) calls it directly.
+    A one-qubit rho takes the 2x2 products directly.
+    """
+    if rho.shape == (2, 2):
+        return sum(k @ rho @ k.conj().T for k in ops)
+    n = rho.shape[0].bit_length() - 1
+    t = rho.reshape((2,) * (2 * n))
+    out = sum(_apply(_apply(t, k, (qubit,), 0), k.conj(), (qubit,), n) for k in ops)
+    return out.reshape(rho.shape)
 
 
 def _others(q: int, n: int) -> tuple[int, ...]:

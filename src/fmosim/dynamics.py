@@ -2,7 +2,7 @@
 
 Two evolution routes for the same model:
 
-* ``integrate_exact``: fixed-step RK4 on the full Lindblad generator,
+* ``integrate_exact``: fixed-step RK4 on the Lindblad generator,
 
       drho/dt = -i[H, rho] + sum_j 4 Gamma_j (2 s-_j rho s+_j - n_j rho - rho n_j)
                            + sum_j gamma_j (2 n_j rho n_j - n_j rho - rho n_j)
@@ -15,15 +15,27 @@ Two evolution routes for the same model:
   per local term of ``hamiltonians.fmo_terms`` in the gate program
   ``hamiltonians.trotter_program``, then per site the exact
   finite-time dissipation and corrected dephasing channels.  These commute
-  and act elementwise in the occupation basis, on the per-site blocks of rho
-  (``_site_blocks``) that the generator's decay and refill terms also use.
-  Channel parameters are the exact per-interval values (e^{-4 Gamma dt} and
-  friends), so every step is CPTP at any dt.  The step unitary is that
-  program's unitary, or (``compiled-pulses``) that of a lowering pass that
-  replaces its gates by compiled pulse schedules; either way at most 10 sites.
+  and act elementwise in the occupation basis: a scale of the entries with
+  site j occupied in a or b, and a refill of the ground block from the
+  excited block, through the index vectors of ``_site_geometry`` that the
+  generator's decay and refill terms also use.  Channel parameters are the
+  exact per-interval values (e^{-4 Gamma dt} and friends), so every step is
+  CPTP at any dt.  The step unitary is that program's unitary, or
+  (``compiled-pulses``) that of a lowering pass that replaces its gates by
+  compiled pulse schedules; either way at most 10 sites.
 
-Both routes share one record loop (``_record``); their steps return a fresh
-array, so ``Trajectory`` makes the one copy of each recorded state.
+Both routes step rho restricted to its support: the sorted basis states
+with at most K excitations, K the largest excitation number of a row or
+column of rho0 holding a nonzero entry (``_support``).  This is exact.  H
+conserves the excitation number, dissipation only lowers it and dephasing
+keeps it, so every term maps |a><b| with a and b on the support into the span
+of such elements; the step unitary likewise has no entry between different
+excitation numbers (exactly zero for ``dense-blocks``, roundoff for
+``compiled-pulses``), so its support block is the step.  For ``siteK`` the
+support is the n + 1 states with at most one excitation; a full-rank rho0
+has the full support of 2^n states, with the same code.  The support block
+is scattered back into a 2^n x 2^n array, zero off the support, only at the
+record points of the shared record loop (``_record``).
 
 Populations are excitation-basis: p_j = tr(rho n_j), so the all-ground state
 has p = 0 and dissipation drains p_j toward zero; 1 - sum_j p_j is the
@@ -86,14 +98,18 @@ class NoiseParameters:
         return cls(np.full(n, dissipation), np.full(n, dephasing))
 
 
+def _occupations(states: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(states)) table of 0/1: row j - 1 holds site j's bit of each basis state."""
+    return (states >> np.arange(n - 1, -1, -1)[:, None]) & 1
+
+
 def site_populations(rho: np.ndarray) -> np.ndarray:
     """Excited-state population of each site, tr(rho n_j)."""
     rho = np.asarray(rho)
     n = int(round(math.log2(rho.shape[0])))
     if rho.shape != (2**n, 2**n):
         raise ValueError("state dimension is not a power of two")
-    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    return bits @ np.real(np.diagonal(rho))
+    return _occupations(np.arange(2**n), n) @ np.real(np.diagonal(rho))
 
 
 def initial_density(label: str, n: int) -> np.ndarray:
@@ -115,10 +131,17 @@ def initial_density(label: str, n: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _site_blocks(rho: np.ndarray, j: int) -> np.ndarray:
-    """Site j's row and column bits of rho as axes 1 and 4 (a view if C-contiguous)."""
-    hi, lo = 1 << (j - 1), rho.shape[0] >> j
-    return rho.reshape(hi, 2, lo, hi, 2, lo)
+def _support(rho0: np.ndarray, n: int) -> np.ndarray:
+    """Sorted basis states with at most K excitations.
+
+    K is the largest excitation number of a row or column of rho0 that holds
+    a nonzero entry; every term of the master equation keeps rho inside the
+    span of |a><b| with a and b on this support.
+    """
+    weight = _occupations(np.arange(2**n), n).sum(axis=0)
+    nonzero = rho0 != 0
+    used = nonzero.any(axis=0) | nonzero.any(axis=1)
+    return np.flatnonzero(weight <= weight[used].max(initial=0))
 
 
 def _site_rates(noise: NoiseParameters) -> list[tuple[int, float, float]]:
@@ -130,38 +153,60 @@ def _site_rates(noise: NoiseParameters) -> list[tuple[int, float, float]]:
     ]
 
 
-class LindbladGenerator:
-    """Precomputed right-hand side of the master equation.
+def _site_geometry(support: np.ndarray, n: int, j: int):
+    """Site j on a support of m states: (occ, lo, hi).
 
-    The non-unitary part is evaluated elementwise on the per-site blocks of
-    ``_site_blocks``: the anticommutator terms are a fixed decay mask
+    ``occ`` is site j's occupation of each support state (bool).  ``hi`` and
+    ``lo`` are flat indices into an m x m array: hi the entries |a><b| with
+    site j occupied in both a and b, lo the same entries with site j emptied
+    in both (a support of at most K excitations keeps a state with one
+    excitation removed).  So rho[lo] += w * rho[hi] is the refill of site j.
+    """
+    bit = 1 << (n - j)
+    m = len(support)
+    occ = (support & bit) != 0
+    hi = np.flatnonzero(occ)
+    lo = np.searchsorted(support, support[hi] ^ bit)
+    return occ, (lo[:, None] * m + lo).ravel(), (hi[:, None] * m + hi).ravel()
+
+
+class LindbladGenerator:
+    """Precomputed right-hand side of the master equation on a support.
+
+    ``support`` is the sorted array of basis states rho lives on (all 2^n by
+    default); ``rhs`` acts on the support block rho[S, S] of an m x m state.
+    The non-unitary part is elementwise: the anticommutator terms are a
+    fixed decay mask
 
         decay[a, b] = -sum_j [ 4 Gamma_j (a_j + b_j) + gamma_j (a_j xor b_j) ]
 
     and the refill term adds 8 Gamma_j rho[a|j, b|j] to rho[a, b] for every
-    site j unoccupied in both a and b.
+    site j unoccupied in both a and b, gathered through the index vectors of
+    ``_site_geometry``.
     """
 
-    def __init__(self, fmo: FmoParameters, noise: NoiseParameters):
+    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None):
         n = fmo.n_sites
         if noise.n_sites != n:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
         self.n_sites = n
-        self.h = build_fmo_h(fmo)
+        support = np.arange(2**n) if support is None else np.asarray(support)
+        self.h = build_fmo_h(fmo)[np.ix_(support, support)]
         self.decay = np.zeros(self.h.shape)
+        self.refill = []
         for j, coherence, excited in _site_rates(noise):
-            v = _site_blocks(self.decay, j)
-            v[:, 0, :, :, 1, :] -= coherence
-            v[:, 1, :, :, 0, :] -= coherence
-            v[:, 1, :, :, 1, :] -= excited
-        self.refill = [(j, w) for j, _, w in _site_rates(noise) if w > 0]
+            occ, lo, hi = _site_geometry(support, n, j)
+            a, b = occ[:, None], occ[None, :]
+            self.decay -= coherence * (a ^ b) + excited * (a & b)
+            if excited > 0:
+                self.refill.append((excited, lo, hi))
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.h @ rho - rho @ self.h)
         out += self.decay * rho
-        for j, weight in self.refill:
-            src = _site_blocks(rho, j)[:, 1, :, :, 1, :]
-            _site_blocks(out, j)[:, 0, :, :, 0, :] += weight * src
+        flat = out.reshape(-1)
+        for weight, lo, hi in self.refill:
+            flat[lo] += weight * np.take(rho, hi)
         return out
 
 
@@ -203,7 +248,10 @@ class Trajectory:
         return self.states[-1]
 
     def to_csv(self, extra_columns: dict[str, np.ndarray] | None = None) -> str:
-        """Plot-ready table: t, per-site populations, loss, trace, purity."""
+        """Plot-ready table: t, per-site populations, loss, trace, purity.
+
+        Purity is tr(rho^2), computed for Hermitian rho as sum |rho_ab|^2.
+        """
         extra = extra_columns or {}
         for name, col in extra.items():
             if len(col) != len(self.times):
@@ -218,7 +266,7 @@ class Trajectory:
             row += [f"{p:.12g}" for p in pops[i]]
             row.append(f"{1.0 - pops[i].sum():.12g}")
             row.append(f"{np.trace(s).real:.12g}")
-            row.append(f"{np.trace(s @ s).real:.12g}")
+            row.append(f"{np.vdot(s, s).real:.12g}")  # tr(rho^2) = sum |rho_ab|^2
             row += [f"{float(extra[name][i]):.12g}" for name in extra]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
@@ -248,14 +296,34 @@ def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
     return steps, t_max / steps
 
 
-def _record(rho0, step, steps: int, h: float, record_every: int, method: str) -> Trajectory:
-    """Apply ``step`` ``steps`` times, keeping every record_every-th and the last state."""
-    rho, times, states = rho0, [0.0], [rho0]
+def _state_on_support(rho0, fmo: FmoParameters, noise: NoiseParameters):
+    """rho0 as a complex 2^n x 2^n array, checked against the parameters, and its support."""
+    n = fmo.n_sites
+    if noise.n_sites != n:
+        raise ValueError("noise and Hamiltonian parameters disagree on size")
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (2**n, 2**n):
+        raise ValueError("state dimension does not match the parameter set")
+    return rho0, _support(rho0, n)
+
+
+def _record(
+    rho0, support, step, steps: int, h: float, record_every: int, method: str
+) -> Trajectory:
+    """Apply ``step`` to rho0's support block ``steps`` times.
+
+    Every record_every-th and the last state are scattered back into a
+    2^n x 2^n array (zero off the support) and kept.
+    """
+    cut = np.ix_(support, support)
+    rho, times, states = rho0[cut], [0.0], [rho0]
     for k in range(1, steps + 1):
         rho = step(rho)
         if k % record_every == 0 or k == steps:
+            full = np.zeros_like(rho0)
+            full[cut] = rho
             times.append(k * h)
-            states.append(rho)
+            states.append(full)
     return Trajectory(tuple(times), tuple(states), method)
 
 
@@ -267,16 +335,14 @@ def integrate_exact(
     dt: float,
     record_every: int = 1,
 ) -> Trajectory:
-    """Brute-force RK4 integration of the master equation.
+    """Brute-force RK4 integration of the master equation on rho0's support.
 
     The step is shrunk to divide t_max exactly; states are recorded every
     ``record_every`` steps (and always at t_max).
     """
     steps, h = _step_grid(t_max, dt, record_every)
-    gen = LindbladGenerator(fmo, noise)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != gen.h.shape:
-        raise ValueError("state dimension does not match the parameter set")
+    rho0, support = _state_on_support(rho0, fmo, noise)
+    gen = LindbladGenerator(fmo, noise, support)
 
     def rk4(rho):
         # Classical RK4 in Horner form: for a linear, time-independent
@@ -286,7 +352,7 @@ def integrate_exact(
             acc = rho + (h / m) * gen.rhs(acc)
         return acc
 
-    return _record(rho0, rk4, steps, h, record_every, "exact")
+    return _record(rho0, support, rk4, steps, h, record_every, "exact")
 
 
 def _compiled_step_unitary(fmo: FmoParameters, dt: float) -> np.ndarray:
@@ -309,7 +375,7 @@ def evolve_trotter_open(
     lowering: str = "dense-blocks",
     record_every: int = 1,
 ) -> Trajectory:
-    """Digital evolution: split-step unitary plus per-site noise channels.
+    """Digital evolution on rho0's support: split-step unitary plus per-site noise.
 
     Each step applies the first-order Trotter unitary, then on every site the
     exact finite-dt dissipation and corrected (CPTP) dephasing channels: its
@@ -318,24 +384,32 @@ def evolve_trotter_open(
     selects how the step unitary is built from ``trotter_program``:
     ``dense-blocks`` takes its unitary, ``compiled-pulses`` that of a lowering
     pass to compiled X-pulse schedules (nearest-neighbour couplings only).
-    Both cap the register at 10 sites.
+    Both build the 2^n x 2^n unitary and cut it to the support, so both cap
+    the register at 10 sites.
     """
-    if noise.n_sites != fmo.n_sites:
-        raise ValueError("noise and Hamiltonian parameters disagree on size")
     steps, h = _step_grid(t_max, dt, record_every)
     ci.check_unitary_register(fmo.n_sites)
+    rho0, support = _state_on_support(rho0, fmo, noise)
     if lowering == "dense-blocks":
         u = trotter_step(fmo, h)
     elif lowering == "compiled-pulses":
         u = _compiled_step_unitary(fmo, h)
     else:
         raise ValueError(f"unknown lowering {lowering!r}")
+    u = u[np.ix_(support, support)]
     uh = u.conj().T
 
-    channels = [
-        (j, math.exp(-coherence * h), math.exp(-excited * h))
-        for j, coherence, excited in _site_rates(noise)
-    ]
+    # Per site: the refill index vectors, then the factor for every entry
+    # with site j occupied in a or b (coherences and the excited block).  The
+    # refill reads the excited block before it is scaled and writes only the
+    # ground block, which the scale leaves alone.
+    channels = []
+    for j, coherence, excited in _site_rates(noise):
+        occ, lo, hi = _site_geometry(support, fmo.n_sites, j)
+        a, b = occ[:, None], occ[None, :]
+        keep_coherence, keep_excited = math.exp(-coherence * h), math.exp(-excited * h)
+        factor = np.where(a & b, keep_excited, keep_coherence)
+        channels.append((lo, hi, 1.0 - keep_excited, factor, a | b))
     if np.any(noise.dephasing > 0):
         logger.info(
             "dephasing uses the corrected CPTP phase-flip channel; "
@@ -343,18 +417,12 @@ def evolve_trotter_open(
             "available only behind an explicit override"
         )
 
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != u.shape:
-        raise ValueError("state dimension does not match the parameter set")
-
     def trotter(rho):
         rho = u @ rho @ uh
-        for j, keep_coherence, keep_excited in channels:
-            v = _site_blocks(rho, j)
-            v[:, 0, :, :, 1, :] *= keep_coherence
-            v[:, 1, :, :, 0, :] *= keep_coherence
-            v[:, 0, :, :, 0, :] += (1.0 - keep_excited) * v[:, 1, :, :, 1, :]
-            v[:, 1, :, :, 1, :] *= keep_excited
+        flat = rho.reshape(-1)
+        for lo, hi, refill, factor, touched in channels:
+            flat[lo] += refill * flat[hi]
+            np.multiply(rho, factor, out=rho, where=touched)
         return rho
 
-    return _record(rho0, trotter, steps, h, record_every, f"trotter(dt={h:.12g})")
+    return _record(rho0, support, trotter, steps, h, record_every, f"trotter(dt={h:.12g})")

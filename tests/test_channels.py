@@ -227,10 +227,10 @@ def test_corrected_dephasing_matches_ode_oracle():
     rate, t = 0.5, 0.3
     ch = dephasing_kraus_corrected(rate, t)
     assert ch.cptp == "verified"
-    worst = 0.0
-    for rho in random_states(100, seed=11):
-        want = rk4(dephasing_rhs(rate), rho, t, steps=2000)
-        worst = max(worst, np.abs(apply_kraus(rho, ch) - want).max())
+    states = random_states(100, seed=11)
+    # One RK4 run on the stacked (100, 2, 2) states: the oracle's products broadcast.
+    wants = rk4(dephasing_rhs(rate), np.stack(states), t, steps=2000)
+    worst = max(np.abs(apply_kraus(rho, ch) - want).max() for rho, want in zip(states, wants))
     assert worst < 1e-8
 
 

@@ -267,6 +267,27 @@ def test_kraus_preserves_trace_and_positivity():
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_sum_matches_explicit_sum(n):
+    # run_density's Kraus step (the direct 2x2 branch at n = 1, the kernel
+    # otherwise) against sum_k K rho K^dag with K embedded by Kronecker products.
+    rng = np.random.default_rng(20 + n)
+    for trial in range(20):
+        n_ops = 1 + trial % 4
+        a = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+        v, _ = np.linalg.qr(a)
+        ops = [v[2 * i : 2 * i + 2] for i in range(n_ops)]
+        ch = ci.KrausChannel(tuple(ops), provenance="isometry")
+        q = 1 + trial % n
+        b = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = b @ b.conj().T / np.trace(b @ b.conj().T)
+        embedded = [kron(k if j == q else ID2 for j in range(1, n + 1)) for k in ops]
+        want = sum(k @ rho @ k.conj().T for k in embedded)
+        got = ci.run_density(ci.Program(n, (ci.KrausApply(q, ch),)), rho)
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(ci.operator_sum(rho, ops, q) - want).max() <= 1e-14
+
+
 def test_noncptp_kraus_requires_override():
     bad = ci.KrausApply(1, ci.KrausChannel((np.diag([1.0, 1.1]),), provenance="bad"))
     prog = ci.Program(1, (bad,))

@@ -20,6 +20,7 @@ from fmosim.dynamics import (
     NoiseParameters,
     Trajectory,
     _compiled_step_unitary,
+    _support,
     evolve_trotter_open,
     initial_density,
     integrate_exact,
@@ -497,3 +498,132 @@ def test_state_json_matches_nested_comprehension():
         text = traj.to_state_json()
         assert "[-0.0, -0.0]" in text and "[0.0, -0.0]" in text
         assert text == json.dumps(want) + "\n"
+
+
+# --- support stepping against the full-space stepper it replaced ----------------------
+
+
+def site_blocks(rho, j):
+    """Site j's row and column bits of rho as axes 1 and 4 (a view if C-contiguous)."""
+    hi, lo = 1 << (j - 1), rho.shape[0] >> j
+    return rho.reshape(hi, 2, lo, hi, 2, lo)
+
+
+def full_space_trajectory(rho0, fmo, noise, t_max, dt, route, record_every):
+    """Reference: RK4 or the Trotter step on the whole 2^n x 2^n state.
+
+    ``route`` is "exact" or a lowering.  Decay, refill and the per-site noise
+    channels act on the ``site_blocks`` views.
+    """
+    rates = [
+        (j, 4.0 * big + small, 8.0 * big)
+        for j, (big, small) in enumerate(zip(noise.dissipation, noise.dephasing), 1)
+        if big > 0 or small > 0
+    ]
+    steps = max(1, math.ceil(t_max / dt - 1e-9))
+    h = t_max / steps
+    if route == "exact":
+        ham = build_fmo_h(fmo)
+        decay = np.zeros(ham.shape)
+        for j, coherence, excited in rates:
+            v = site_blocks(decay, j)
+            v[:, 0, :, :, 1, :] -= coherence
+            v[:, 1, :, :, 0, :] -= coherence
+            v[:, 1, :, :, 1, :] -= excited
+
+        def rhs(rho):
+            out = -1j * (ham @ rho - rho @ ham)
+            out += decay * rho
+            for j, _, weight in rates:
+                src = site_blocks(rho, j)[:, 1, :, :, 1, :]
+                site_blocks(out, j)[:, 0, :, :, 0, :] += weight * src
+            return out
+
+        def step(rho):
+            acc = rho
+            for m in (4, 3, 2, 1):
+                acc = rho + (h / m) * rhs(acc)
+            return acc
+
+    else:
+        u = trotter_step(fmo, h) if route == "dense-blocks" else _compiled_step_unitary(fmo, h)
+
+        def step(rho):
+            rho = u @ rho @ u.conj().T
+            for j, coherence, excited in rates:
+                keep_coherence, keep_excited = math.exp(-coherence * h), math.exp(-excited * h)
+                v = site_blocks(rho, j)
+                v[:, 0, :, :, 1, :] *= keep_coherence
+                v[:, 1, :, :, 0, :] *= keep_coherence
+                v[:, 0, :, :, 0, :] += (1.0 - keep_excited) * v[:, 1, :, :, 1, :]
+                v[:, 1, :, :, 1, :] *= keep_excited
+            return rho
+
+    rho, states = rho0, [rho0]
+    for k in range(1, steps + 1):
+        rho = step(rho)
+        if k % record_every == 0 or k == steps:
+            states.append(rho)
+    return states
+
+
+def excitations(n):
+    return np.array([bin(a).count("1") for a in range(2**n)])
+
+
+def random_sector_density(n, k, rng):
+    """Random full-rank density matrix on the basis states with at most k excitations."""
+    keep = np.flatnonzero(excitations(n) <= k)
+    a = rng.normal(size=(len(keep),) * 2) + 1j * rng.normal(size=(len(keep),) * 2)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[np.ix_(keep, keep)] = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("route", ["exact", "dense-blocks", "compiled-pulses"])
+def test_support_stepping_matches_full_space(n, route):
+    rng = np.random.default_rng(200 + n)
+    fmo = chain_fmo(n, seed=n)
+    t_max, dt, every = 0.25, 0.05, 2
+    for k in range(n + 1):
+        noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+        rho0 = random_sector_density(n, k, rng)
+        if route == "exact":
+            traj = integrate_exact(rho0, fmo, noise, t_max, dt, every)
+        else:
+            traj = evolve_trotter_open(rho0, fmo, noise, t_max, dt, route, every)
+        want = full_space_trajectory(rho0, fmo, noise, t_max, dt, route, every)
+        assert len(traj.states) == len(want) == 4
+        for got, ref in zip(traj.states, want):
+            assert trace_distance(got, ref) <= 1e-12
+
+
+def test_support_is_the_reachable_excitation_sector():
+    support = _support(initial_density("site1", 7), 7)
+    assert support.tolist() == [0] + [1 << s for s in range(7)]
+    assert _support(np.zeros((8, 8)), 3).tolist() == [0]
+    three = np.flatnonzero(excitations(4) <= 3).tolist()
+    for row, col in ((0, 0b0111), (0b1011, 0)):
+        off = np.zeros((16, 16), dtype=complex)
+        off[row, col] = 1e-300  # one nonzero coherence sets K = 3
+        assert _support(off, 4).tolist() == three
+    assert _support(random_density(3), 3).tolist() == list(range(8))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generator_and_step_keep_the_sector(n):
+    # The exactness argument of the support: the generator maps a state on
+    # the sector into it, and the step unitary does not couple excitation
+    # numbers (exactly for dense-blocks, to roundoff for compiled-pulses).
+    rng = np.random.default_rng(300 + n)
+    fmo = chain_fmo(n, seed=n)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    weight = excitations(n)
+    for k in range(n):
+        outside = (weight[:, None] > k) | (weight[None, :] > k)
+        d = LindbladGenerator(fmo, noise).rhs(random_sector_density(n, k, rng))
+        assert np.all(d[outside] == 0)
+    other = weight[:, None] != weight[None, :]
+    assert np.all(trotter_step(fmo, 0.05)[other] == 0)
+    assert np.abs(_compiled_step_unitary(fmo, 0.05)[other]).max() <= 1e-14
