@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

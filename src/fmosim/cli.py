@@ -267,6 +267,8 @@ def cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     method = args.method or cfg.method
     n = cfg.fmo.n_sites
+    if method != "exact":
+        ci.check_unitary_register(n)  # before the 4^n-entry rho0 is built
     try:
         rho0 = initial_density(cfg.initial_state, n)
     except ValueError as exc:
@@ -375,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -439,7 +439,6 @@ def verify_schedule(
     sched: PulseSchedule | ConjugatedSchedule,
     params: NmrParameters,
     lowering: str = "opaque",
-    atol: float = SCHEDULE_VERIFY_ATOL,
 ) -> VerificationReport:
     """Reconstruct the scheduled unitary and compare it to the target.
 
@@ -468,7 +467,7 @@ def verify_schedule(
         target=sched.target,
         norm_error=err,
         fidelity=fid,
-        passed=bool(err <= atol),
+        passed=bool(err <= SCHEDULE_VERIFY_ATOL),
         coefficient=coeff,
         params_coefficient=run_coeff,
         note=note,

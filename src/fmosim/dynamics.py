@@ -13,16 +13,20 @@ Two evolution routes for the same model:
 * ``evolve_trotter_open``: per step, the first-order split unitary
   prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one gate
   per local term of ``hamiltonians.fmo_terms`` in the gate program
-  ``hamiltonians.trotter_program``, then per site the exact
-  finite-time dissipation and corrected dephasing channels.  These commute
-  and act elementwise in the occupation basis: a scale of the entries with
-  site j occupied in a or b, and a refill of the ground block from the
-  excited block, through the index vectors of ``_site_geometry`` that the
-  generator's decay and refill terms also use.  Channel parameters are the
-  exact per-interval values (e^{-4 Gamma dt} and friends), so every step is
-  CPTP at any dt.  The step unitary is that program's unitary, or
-  (``compiled-pulses``) that of a lowering pass that replaces its gates by
-  compiled pulse schedules; either way at most 10 sites.
+  ``hamiltonians.trotter_program``, then the noise step e^{dt D}.  The step
+  unitary is that program's unitary, or (``compiled-pulses``) that of a
+  lowering pass that replaces its gates by compiled pulse schedules; either
+  way at most 10 sites.
+
+The dissipator D (the Gamma and gamma terms) is built once, by
+``_dissipator``, as a decay mask plus per-site refill index vectors.  RK4
+applies it linearly; the digital step applies e^{dt D} exactly: every refill
+in place with weight 1 - e^{-8 Gamma_j dt}, then rho *= e^{dt decay}.  That
+is the product of the per-site dissipation and corrected (CPTP) dephasing
+channels, so CPTP at any dt, because the site channels commute, site j's
+mask factor is 1 wherever its refill writes (site j is empty in both a and b
+there), and refilling in place chains the refills of several sites as
+applying the channels one after another does.
 
 Both routes step rho restricted to its support: the sorted basis states
 with at most K excitations, K the largest excitation number of a row or
@@ -144,30 +148,31 @@ def _support(rho0: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(weight <= weight[used].max(initial=0))
 
 
-def _site_rates(noise: NoiseParameters) -> list[tuple[int, float, float]]:
-    """(site, coherence decay rate 4 Gamma + gamma, excited decay rate 8 Gamma)."""
-    return [
-        (j, 4.0 * big + small, 8.0 * big)
-        for j, (big, small) in enumerate(zip(noise.dissipation, noise.dephasing), 1)
-        if big > 0 or small > 0
-    ]
+def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
+    """The dissipator D on a support of m states, as (decay, refill).
 
-
-def _site_geometry(support: np.ndarray, n: int, j: int):
-    """Site j on a support of m states: (occ, lo, hi).
-
-    ``occ`` is site j's occupation of each support state (bool).  ``hi`` and
-    ``lo`` are flat indices into an m x m array: hi the entries |a><b| with
+    D(rho) = decay * rho, plus rho[lo] += w * rho[hi] for each (w, lo, hi) in
+    refill, one triple per site j with Gamma_j > 0 and w = 8 Gamma_j.  decay
+    is -sum_j [(4 Gamma_j + gamma_j) (a_j xor b_j) + 8 Gamma_j a_j b_j].  hi
+    and lo are flat indices into an m x m array: hi the entries |a><b| with
     site j occupied in both a and b, lo the same entries with site j emptied
     in both (a support of at most K excitations keeps a state with one
-    excitation removed).  So rho[lo] += w * rho[hi] is the refill of site j.
+    excitation removed).
     """
-    bit = 1 << (n - j)
     m = len(support)
-    occ = (support & bit) != 0
-    hi = np.flatnonzero(occ)
-    lo = np.searchsorted(support, support[hi] ^ bit)
-    return occ, (lo[:, None] * m + lo).ravel(), (hi[:, None] * m + hi).ravel()
+    decay = np.zeros((m, m))
+    refill = []
+    for j, (big, small) in enumerate(zip(noise.dissipation, noise.dephasing), 1):
+        bit = 1 << (n - j)
+        occ = (support & bit) != 0
+        a, b = occ[:, None], occ[None, :]
+        decay -= (4.0 * big + small) * (a ^ b) + 8.0 * big * (a & b)
+        if big > 0:
+            hi = np.flatnonzero(occ)
+            lo = np.searchsorted(support, support[hi] ^ bit)
+            lo, hi = ((k[:, None] * m + k).ravel() for k in (lo, hi))
+            refill.append((8.0 * big, lo, hi))
+    return decay, refill
 
 
 class LindbladGenerator:
@@ -175,14 +180,8 @@ class LindbladGenerator:
 
     ``support`` is the sorted array of basis states rho lives on (all 2^n by
     default); ``rhs`` acts on the support block rho[S, S] of an m x m state.
-    The non-unitary part is elementwise: the anticommutator terms are a
-    fixed decay mask
-
-        decay[a, b] = -sum_j [ 4 Gamma_j (a_j + b_j) + gamma_j (a_j xor b_j) ]
-
-    and the refill term adds 8 Gamma_j rho[a|j, b|j] to rho[a, b] for every
-    site j unoccupied in both a and b, gathered through the index vectors of
-    ``_site_geometry``.
+    The non-unitary part is the dissipator of ``_dissipator``, applied
+    linearly; the digital step exponentiates the same mask and refill vectors.
     """
 
     def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None):
@@ -192,14 +191,7 @@ class LindbladGenerator:
         self.n_sites = n
         support = np.arange(2**n) if support is None else np.asarray(support)
         self.h = build_fmo_h(fmo)[np.ix_(support, support)]
-        self.decay = np.zeros(self.h.shape)
-        self.refill = []
-        for j, coherence, excited in _site_rates(noise):
-            occ, lo, hi = _site_geometry(support, n, j)
-            a, b = occ[:, None], occ[None, :]
-            self.decay -= coherence * (a ^ b) + excited * (a & b)
-            if excited > 0:
-                self.refill.append((excited, lo, hi))
+        self.decay, self.refill = _dissipator(noise, support, n)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.h @ rho - rho @ self.h)
@@ -317,13 +309,15 @@ def _record(
     """
     cut = np.ix_(support, support)
     rho, times, states = rho0[cut], [0.0], [rho0]
-    for k in range(1, steps + 1):
-        rho = step(rho)
-        if k % record_every == 0 or k == steps:
-            full = np.zeros_like(rho0)
-            full[cut] = rho
-            times.append(k * h)
-            states.append(full)
+    # A diverged run is reported by Trajectory's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            rho = step(rho)
+            if k % record_every == 0 or k == steps:
+                full = np.zeros_like(rho0)
+                full[cut] = rho
+                times.append(k * h)
+                states.append(full)
     return Trajectory(tuple(times), tuple(states), method)
 
 
@@ -377,10 +371,8 @@ def evolve_trotter_open(
 ) -> Trajectory:
     """Digital evolution on rho0's support: split-step unitary plus per-site noise.
 
-    Each step applies the first-order Trotter unitary, then on every site the
-    exact finite-dt dissipation and corrected (CPTP) dephasing channels: its
-    coherences scale by e^{-(4 Gamma + gamma) dt} and a 1 - e^{-8 Gamma dt}
-    share of its excited block moves to its ground block.  ``lowering``
+    Each step applies the first-order Trotter unitary, then the exact noise
+    step e^{dt D} of the generator's dissipator (module docstring).  ``lowering``
     selects how the step unitary is built from ``trotter_program``:
     ``dense-blocks`` takes its unitary, ``compiled-pulses`` that of a lowering
     pass to compiled X-pulse schedules (nearest-neighbour couplings only).
@@ -399,17 +391,9 @@ def evolve_trotter_open(
     u = u[np.ix_(support, support)]
     uh = u.conj().T
 
-    # Per site: the refill index vectors, then the factor for every entry
-    # with site j occupied in a or b (coherences and the excited block).  The
-    # refill reads the excited block before it is scaled and writes only the
-    # ground block, which the scale leaves alone.
-    channels = []
-    for j, coherence, excited in _site_rates(noise):
-        occ, lo, hi = _site_geometry(support, fmo.n_sites, j)
-        a, b = occ[:, None], occ[None, :]
-        keep_coherence, keep_excited = math.exp(-coherence * h), math.exp(-excited * h)
-        factor = np.where(a & b, keep_excited, keep_coherence)
-        channels.append((lo, hi, 1.0 - keep_excited, factor, a | b))
+    decay, refill = _dissipator(noise, support, fmo.n_sites)
+    scale = np.exp(h * decay)
+    moves = [(lo, hi, 1.0 - math.exp(-weight * h)) for weight, lo, hi in refill]
     if np.any(noise.dephasing > 0):
         logger.info(
             "dephasing uses the corrected CPTP phase-flip channel; "
@@ -420,9 +404,10 @@ def evolve_trotter_open(
     def trotter(rho):
         rho = u @ rho @ uh
         flat = rho.reshape(-1)
-        for lo, hi, refill, factor, touched in channels:
-            flat[lo] += refill * flat[hi]
-            np.multiply(rho, factor, out=rho, where=touched)
+        # In place, so a site refills from the earlier sites' refills; mask last.
+        for lo, hi, share in moves:
+            flat[lo] += share * flat[hi]
+        rho *= scale
         return rho
 
     return _record(rho0, support, trotter, steps, h, record_every, f"trotter(dt={h:.12g})")

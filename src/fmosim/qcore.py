@@ -155,6 +155,6 @@ def phase_align(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def average_gate_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """|tr(u^dag v)| / dim: 1.0 iff u = v up to a global phase."""
+    """|tr(u^dag v)| / dim, without a matrix product: 1.0 iff u = v up to a global phase."""
     u = np.asarray(u, dtype=complex)
-    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
+    return float(abs(np.vdot(u, v)) / u.shape[0])

@@ -228,6 +228,7 @@ def test_evolve_rejects_record_every_below_one(tmp_path, capsys, every):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_rejects_diverged_state(tmp_path, capsys):
     # RK4 far past its stability limit: the state at t = 50 is NaN.
     doc = deep(
@@ -266,6 +267,42 @@ def test_evolve_digital_route_capped_at_ten_sites(tmp_path, capsys, lowering):
     assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["trotter", "both"])
+def test_evolve_digital_cap_fires_before_the_initial_state(tmp_path, capsys, method):
+    # At 16 sites the dense initial state alone would be 64 GiB.
+    doc = deep(
+        BASE,
+        (("fmo",), {"epsilon": [1.0] * 16, "nu_bonds": [0.1] * 15}),
+        (("noise",), {"dissipation": [0.05] * 16, "dephasing": [0.05] * 16}),
+        (("nmr",), ...),
+        (("evolution", "method"), method),
+    )
+    cfgp = write_config(tmp_path, doc)
+    out = tmp_path / "traj.csv"
+    start = time.perf_counter()
+    assert main(["evolve", "--config", cfgp, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_evolve_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr("fmosim.cli.integrate_exact", exhausted)
+    cfgp = write_config(tmp_path, BASE)
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--config", cfgp, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "out of memory" in errors[0]
+    assert "Traceback" not in captured.err
+    assert not out.exists() and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["compile", "verify"])

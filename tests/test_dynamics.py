@@ -357,6 +357,23 @@ def test_trotter_step_matches_dense_kraus_reference(n, dt):
         assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_noise_step_is_exact_without_hamiltonian(n):
+    # With H = 0 one digital step is e^{dt D} itself, at any dt: a single
+    # step of dt = 1 matches RK4 at dt = 1e-3, on every sector up to full
+    # rank, where the refills of several sites chain.
+    rng = np.random.default_rng(500 + n)
+    fmo = FmoParameters(epsilon=np.zeros(n), nu=np.zeros((n, n)))
+    for k in range(n + 1):
+        dissipation = rng.uniform(0.1, 2.0, n)
+        dissipation[rng.integers(n)] = 0.0
+        noise = NoiseParameters(dissipation, rng.uniform(0.1, 2.0, n))
+        rho0 = random_sector_density(n, k, rng)
+        digital = evolve_trotter_open(rho0, fmo, noise, 1.0, 1.0).final_state()
+        oracle = integrate_exact(rho0, fmo, noise, 1.0, 1e-3, record_every=1000).final_state()
+        assert trace_distance(digital, oracle) <= 1e-11
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rhs_matches_gather_refill_reference(n):
     rng = np.random.default_rng(n)

@@ -157,6 +157,14 @@ class TestPhaseAlign:
         u = matexp_hermitian(SZ, -1j * 0.4)
         assert qcore.average_gate_overlap(u, np.exp(0.9j) * u) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_overlap_matches_trace_of_product(self, n):
+        rng = np.random.default_rng(70 + n)
+        u, v = (matexp_hermitian(random_hermitian(2**n, rng), -1j) for _ in range(2))
+        for a, b in ((u, v), (u, np.exp(0.3j) * u), (v, u)):
+            want = abs(np.trace(a.conj().T @ b)) / 2**n
+            assert abs(qcore.average_gate_overlap(a, b) - want) <= 1e-13
+
 
 class TestCheckDensity:
     def test_rejects_bad_trace(self):
