@@ -60,6 +60,7 @@ __all__ = [
     "operator_sum",
     "unitary_of",
     "embed",
+    "RegisterTooLarge",
     "check_unitary_register",
     "partial_trace",
     "export_text",
@@ -288,6 +289,7 @@ def embed(op: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     qubits = tuple(qubits)
     if len(set(qubits)) != len(qubits) or any(not 1 <= q <= n for q in qubits):
         raise ValueError(f"qubits {qubits} are repeated or outside register 1..{n}")
+    check_unitary_register(n)
     dim = 2**n
     eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     return _apply(eye, op, qubits, 0).reshape(dim, dim)
@@ -386,10 +388,18 @@ def _others(q: int, n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if j != q)
 
 
+class RegisterTooLarge(ValueError):
+    """A dense 2^n x 2^n matrix was asked for on more than 10 qubits."""
+
+
 def check_unitary_register(n: int) -> None:
-    """Refuse a register too large for ``unitary_of`` (more than 10 qubits)."""
+    """Refuse a dense 2^n x 2^n matrix on more than 10 qubits.
+
+    Checked where one is allocated from a size, so every route is capped:
+    ``unitary_of``, ``embed``, ``build_fmo_h``, opaque intervals, ``initial_density``.
+    """
     if n > 10:
-        raise ValueError("unitary reconstruction capped at 10 qubits")
+        raise RegisterTooLarge(f"dense 2^n x 2^n matrices capped at 10 qubits, got {n}")
 
 
 def unitary_of(program: Program) -> np.ndarray:

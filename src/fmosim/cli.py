@@ -36,9 +36,8 @@ from .channels import (
     dissipation_kraus,
 )
 from .compiler import (
-    compile_single_z,
-    compile_xy,
-    compile_zz,
+    compile_target,
+    parse_target,
     schedule_from_json,
     schedule_program,
     schedule_to_json,
@@ -163,13 +162,12 @@ def parse_config(doc: dict) -> RunConfig:
         if nmr.n_qubits != n:
             raise ConfigError("config.nmr.omega must match the site count")
     else:
-        for j, l in fmo.coupled_pairs():
-            if l != j + 1:
-                raise ConfigError(
-                    "config.nmr can only be derived for chain couplings; "
-                    "add an explicit nmr block"
-                )
-        nmr = nmr_from_fmo(fmo)
+        try:
+            nmr = nmr_from_fmo(fmo)
+        except ValueError:
+            raise ConfigError(
+                "config.nmr can only be derived for chain couplings; add an explicit nmr block"
+            ) from None
 
     edoc = doc["evolution"]
     _require_keys(edoc, "config.evolution", {"t_max", "dt", "method", "initial_state"})
@@ -212,33 +210,9 @@ def _write_or_print(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _parse_target(spec: str) -> tuple[str, tuple[int, ...]]:
-    kind, _, sites_s = spec.partition(":")
-    try:
-        sites = tuple(int(t) for t in sites_s.split(","))
-    except ValueError:
-        raise ConfigError(f"malformed target {spec!r}") from None
-    if kind == "z" and len(sites) == 1:
-        return kind, sites
-    if kind in ("zz", "xy") and len(sites) == 2:
-        return kind, sites
-    raise ConfigError(
-        f"malformed target {spec!r}; expected z:<l>, zz:<l>,<l+1> or xy:<l>,<l+1>"
-    )
-
-
 def cmd_compile(args) -> int:
     cfg = load_config(args.config)
-    kind, sites = _parse_target(args.target)
-    try:
-        if kind == "z":
-            sched = compile_single_z(sites[0], args.tau, cfg.nmr)
-        elif kind == "zz":
-            sched = compile_zz(sites, args.tau, cfg.nmr)
-        else:
-            sched = compile_xy(sites, args.tau, cfg.nmr)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sched = compile_target(*parse_target(args.target), args.tau, cfg.nmr)
     report = verify_schedule(sched, cfg.nmr)
     _write_or_print(
         schedule_to_json(sched), args.out or cfg.output.get("schedule")
@@ -266,11 +240,10 @@ def cmd_verify(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     method = args.method or cfg.method
-    n = cfg.fmo.n_sites
-    if method != "exact":
-        ci.check_unitary_register(n)  # before the 4^n-entry rho0 is built
     try:
-        rho0 = initial_density(cfg.initial_state, n)
+        rho0 = initial_density(cfg.initial_state, cfg.fmo.n_sites)
+    except ci.RegisterTooLarge:
+        raise
     except ValueError as exc:
         raise ConfigError(f"config.evolution.initial_state: {exc}") from None
 

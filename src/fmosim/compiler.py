@@ -31,6 +31,10 @@ Pulse layers sit between intervals; ``pulse_layers[k]`` is the set of qubits
 whose sign changes from column k-1 to column k, with an all-+1 frame at both
 ends, so double pulses cancel structurally and the frame always returns to
 the identity.
+
+Targets are the term kinds of ``hamiltonians.TERMS``: ``parse_target`` reads
+``kind:sites``, also the head of every target descriptor, and
+``compile_target`` dispatches a kind to its compiler.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as ci
-from .hamiltonians import XY_HOPPING, NmrParameters, nmr_diagonal
-from .qcore import SCHEDULE_VERIFY_ATOL, SZ, average_gate_overlap, matexp_hermitian, phase_align
+from .hamiltonians import TERMS, NmrParameters, nmr_diagonal
+from .qcore import SCHEDULE_VERIFY_ATOL, average_gate_overlap, matexp_hermitian, phase_align
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
@@ -60,6 +64,8 @@ __all__ = [
     "compile_single_z",
     "compile_zz",
     "compile_xy",
+    "parse_target",
+    "compile_target",
     "schedule_program",
     "parse_descriptor",
     "target_unitary",
@@ -269,39 +275,61 @@ def schedule_from_sign_matrix(
     return PulseSchedule(n, target_time / m, layers, target)
 
 
-def _descriptor(kind: str, sites: tuple[int, ...], coeff: float) -> str:
+def _descriptor(kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters) -> str:
+    coeff = _coefficient(kind, sites, tau, params)
     return f"{kind}:{','.join(str(q) for q in sites)} coeff={coeff:.17g}"
 
 
-# The local Pauli term P of each target kind, on its one or two sites.
-_TERMS = {"z": SZ, "zz": np.kron(SZ, SZ), "xy": XY_HOPPING}
+def parse_target(spec: str) -> tuple[str, tuple[int, ...]]:
+    """Split a target 'kind:sites' into a ``TERMS`` kind and its 1-based sites."""
+    kind, _, sites_s = spec.partition(":")
+    try:
+        sites = tuple(int(t) for t in sites_s.split(","))
+    except ValueError:
+        sites = ()
+    if kind not in TERMS or len(TERMS[kind]) != 2 ** len(sites):
+        raise ValueError(
+            f"malformed target {spec!r}; expected z:<l>, zz:<l>,<l+1> or xy:<l>,<l+1>"
+        )
+    return kind, sites
 
 
 def parse_descriptor(desc: str) -> tuple[str, tuple[int, ...], float]:
-    """Split 'kind:sites coeff=value' into its parts."""
+    """Split 'kind:sites coeff=value'; 2 coeff, the largest phase of a term, must be finite."""
+    head, _, tail = desc.partition(" ")
+    key, _, value = tail.partition("=")
     try:
-        head, _, tail = desc.partition(" ")
-        kind, _, sites_s = head.partition(":")
-        sites = tuple(int(t) for t in sites_s.split(","))
-        key, _, value = tail.partition("=")
-        if key != "coeff" or kind not in _TERMS or len(_TERMS[kind]) != 2 ** len(sites):
+        kind, sites = parse_target(head)
+        coeff = float(value)
+        if key != "coeff" or not math.isfinite(2.0 * coeff):
             raise ValueError
-        return kind, sites, float(value)
     except ValueError:
         raise ValueError(f"malformed target descriptor {desc!r}") from None
+    return kind, sites, coeff
 
 
 def target_unitary(desc: str, n_qubits: int) -> np.ndarray:
     """Dense unitary the descriptor promises: exp(-i coeff * P), placed on its sites."""
     kind, sites, coeff = parse_descriptor(desc)
-    return ci.embed(matexp_hermitian(_TERMS[kind], -1j * coeff), sites, n_qubits)
+    return ci.embed(matexp_hermitian(TERMS[kind], -1j * coeff), sites, n_qubits)
+
+
+def _check_phases(duration: float, params: NmrParameters) -> None:
+    """Refuse a schedule time whose phases are not finite, before any numpy work.
+
+    Every phase of a schedule of total time ``duration`` is at most duration *
+    (sum |omega_l| + 2 sum |J_l|), bounded here on Python floats, which do not warn.
+    """
+    rate = sum(map(abs, params.omega.tolist())) + 2.0 * sum(map(abs, params.j.tolist()))
+    if not math.isfinite(abs(duration) * rate):
+        raise ValueError("schedule time is not finite or overflows the chain's phases")
 
 
 def _coefficient(kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters) -> float:
     """Coefficient of a compiled term: 0.5 tau omega_l for z, tau J_l for zz and xy."""
     if kind == "z":
-        return 0.5 * tau * params.omega[sites[0] - 1]
-    return tau * params.j[sites[0] - 1]
+        return float(0.5 * tau * params.omega[sites[0] - 1])
+    return float(tau * params.j[sites[0] - 1])
 
 
 def _parity_column(n: int, equal_after: int | None) -> np.ndarray:
@@ -330,8 +358,7 @@ def compile_single_z(l: int, tau: float, params: NmrParameters) -> PulseSchedule
             a[q - 1] = -1
     s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
     check_decoupling_sign_matrix(s, l)
-    coeff = _coefficient("z", (l,), tau, params)
-    return schedule_from_sign_matrix(s, tau, _descriptor("z", (l,), coeff))
+    return schedule_from_sign_matrix(s, tau, _descriptor("z", (l,), tau, params))
 
 
 def compile_zz(pair: tuple[int, int], tau: float, params: NmrParameters) -> PulseSchedule:
@@ -347,20 +374,28 @@ def compile_zz(pair: tuple[int, int], tau: float, params: NmrParameters) -> Puls
     b = -np.ones(n, dtype=int)
     s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
     check_recoupling_sign_matrix(s, pair)
-    coeff = _coefficient("zz", pair, tau, params)
-    return schedule_from_sign_matrix(s, tau, _descriptor("zz", pair, coeff))
+    return schedule_from_sign_matrix(s, tau, _descriptor("zz", pair, tau, params))
 
 
 def compile_xy(pair: tuple[int, int], tau: float, params: NmrParameters) -> ConjugatedSchedule:
     """exp(-i tau J_l (XX + YY)) as two basis-changed ZZ segments."""
     l, r = pair
     zz = compile_zz(pair, tau, params)
-    coeff = _coefficient("xy", pair, tau, params)
     hh = (ci.h(l), ci.h(r))
     gm = (ci.rx(-math.pi / 2, l), ci.rx(-math.pi / 2, r))
     gp = (ci.rx(math.pi / 2, l), ci.rx(math.pi / 2, r))
     segments = (Segment(hh, zz, hh), Segment(gm, zz, gp))
-    return ConjugatedSchedule(params.n_qubits, _descriptor("xy", pair, coeff), segments)
+    return ConjugatedSchedule(params.n_qubits, _descriptor("xy", pair, tau, params), segments)
+
+
+def compile_target(
+    kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters
+) -> PulseSchedule | ConjugatedSchedule:
+    """Schedule for exp(-i coeff TERMS[kind]) on ``sites``, a ``parse_target`` pair."""
+    _check_phases(tau, params)
+    if kind == "z":
+        return compile_single_z(sites[0], tau, params)
+    return {"zz": compile_zz, "xy": compile_xy}[kind](sites, tau, params)
 
 
 # --- lowering to circuits and verification ----------------------------------
@@ -371,6 +406,7 @@ def _interval_instructions(
 ) -> tuple[ci.Gate, ...]:
     n = params.n_qubits
     if lowering == "opaque":
+        ci.check_unitary_register(n)  # before the 2^n x 2^n diagonal is allocated
         u = np.diag(np.exp(-1j * delta * nmr_diagonal(params)))
         return (ci.unitary_gate(u, tuple(range(1, n + 1))),)
     if lowering != "gates":
@@ -407,6 +443,7 @@ def schedule_program(
         return ci.Program(sched.n_qubits, tuple(ins))
     if params.n_qubits != sched.n_qubits:
         raise ValueError("parameter set does not match schedule width")
+    _check_phases(sched.target_time, params)
     interval = _interval_instructions(params, sched.interval_duration, lowering)
     ins = []
     for k, layer in enumerate(sched.pulse_layers):
@@ -446,10 +483,9 @@ def verify_schedule(
     report carries the operator-norm error and |tr(U^dag V)| / 2^n.  If the
     supplied parameters imply a different effective coefficient than the one
     recorded in the target descriptor, the mismatch is noted (and will
-    generally show up as a failure).  Registers over 10 qubits are refused
-    before any work, as ``unitary_of`` would refuse them.
+    generally show up as a failure).  Registers over 10 qubits are refused by
+    ``circuit.embed``, which builds the target before anything else is built.
     """
-    ci.check_unitary_register(sched.n_qubits)
     kind, sites, coeff = parse_descriptor(sched.target)
     v = target_unitary(sched.target, sched.n_qubits)
     u = ci.unitary_of(schedule_program(sched, params, lowering))

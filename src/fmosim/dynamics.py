@@ -14,9 +14,9 @@ Two evolution routes for the same model:
   prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one gate
   per local term of ``hamiltonians.fmo_terms`` in the gate program
   ``hamiltonians.trotter_program``, then the noise step e^{dt D}.  The step
-  unitary is that program's unitary, or (``compiled-pulses``) that of a
-  lowering pass that replaces its gates by compiled pulse schedules; either
-  way at most 10 sites.
+  unitary is that program's unitary, or (``compiled-pulses``) that of each
+  term's schedule from ``compiler.compile_target``.  Both routes hold dense
+  2^n x 2^n matrices, so both are capped at 10 sites.
 
 The dissipator D (the Gamma and gamma terms) is built once, by
 ``_dissipator``, as a decay mask plus per-site refill index vectors.  RK4
@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as ci
-from .compiler import compile_single_z, compile_xy, schedule_program
-from .hamiltonians import FmoParameters, build_fmo_h, nmr_from_fmo, trotter_program, trotter_step
+from .compiler import compile_target, schedule_program
+from .hamiltonians import FmoParameters, build_fmo_h, fmo_terms, nmr_from_fmo, trotter_step
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 logger = logging.getLogger(__name__)
@@ -121,7 +121,9 @@ def initial_density(label: str, n: int) -> np.ndarray:
 
     ``siteK`` puts the single excitation on site K, ``ground`` is all zeros,
     and a literal bitstring such as ``0100000`` selects that basis state.
+    The dense state caps n at 10 sites.
     """
+    ci.check_unitary_register(n)
     if label == "ground":
         bits = "0" * n
     elif label.startswith("site"):
@@ -350,13 +352,16 @@ def integrate_exact(
 
 
 def _compiled_step_unitary(fmo: FmoParameters, dt: float) -> np.ndarray:
-    """Step unitary of ``trotter_program`` lowered gate by gate to pulse schedules."""
+    """Step unitary with each term of ``fmo_terms`` replaced by its compiled schedule.
+
+    On ``nmr_from_fmo`` a target compiled at tau = dt has coefficient dt c, the
+    term's own c (0.5 dt omega_l = dt eps_l, dt J_l = dt 2 nu_{l,l+1}), so each
+    schedule realizes exactly that term's factor e^{-i dt c P}.
+    """
     nmr = nmr_from_fmo(fmo)
     ins: list = []
-    for g in trotter_program(fmo, dt).instructions:
-        one = len(g.qubits) == 1
-        sched = compile_single_z(g.qubits[0], dt, nmr) if one else compile_xy(g.qubits, dt, nmr)
-        ins.extend(schedule_program(sched, nmr).instructions)
+    for kind, sites, _ in fmo_terms(fmo):
+        ins.extend(schedule_program(compile_target(kind, sites, dt, nmr), nmr).instructions)
     return ci.unitary_of(ci.Program(fmo.n_sites, tuple(ins)))
 
 
@@ -373,14 +378,13 @@ def evolve_trotter_open(
 
     Each step applies the first-order Trotter unitary, then the exact noise
     step e^{dt D} of the generator's dissipator (module docstring).  ``lowering``
-    selects how the step unitary is built from ``trotter_program``:
-    ``dense-blocks`` takes its unitary, ``compiled-pulses`` that of a lowering
-    pass to compiled X-pulse schedules (nearest-neighbour couplings only).
-    Both build the 2^n x 2^n unitary and cut it to the support, so both cap
-    the register at 10 sites.
+    selects how the step unitary is built: ``dense-blocks`` takes that of
+    ``trotter_program``, ``compiled-pulses`` that of each term's compiled
+    X-pulse schedule (nearest-neighbour couplings only).  Both build the
+    2^n x 2^n unitary and cut it to the support, so both cap the register at
+    10 sites.
     """
     steps, h = _step_grid(t_max, dt, record_every)
-    ci.check_unitary_register(fmo.n_sites)
     rho0, support = _state_on_support(rho0, fmo, noise)
     if lowering == "dense-blocks":
         u = trotter_step(fmo, h)

@@ -14,14 +14,15 @@ longitudinal Ising chain,
 
 which is diagonal in the computational basis.
 
-The terms exist once, as the list ``fmo_terms`` of (sites, small Hermitian
-matrix) in the first-order step's factor order: pairs descending, then
+A term is a triple (kind, sites, c), the operator c * TERMS[kind] on its
+sites.  ``TERMS`` maps ``z``, ``zz`` and ``xy`` to Z, ZZ and XX + YY; the pulse
+compiler takes the same kinds as targets.  The chain's terms exist once, as
+``fmo_terms`` in the first-order step's factor order: pairs descending, then
 sites.  ``build_fmo_h`` places and sums them (``circuit.embed``), and
 ``trotter_program`` turns each into one gate e^{-i dt term}, so its unitary
 ``trotter_step`` is prod_s e^{-i dt eps_s Z_s} * prod_{pairs ascending}
 e^{-i dt H_pair}; ``trotter_unitary`` is its N-th power, whose error
-vanishes as 1/N at fixed t.  ``XY_HOPPING`` = XX + YY is shared with the
-pulse compiler's target unitaries.
+vanishes as 1/N at fixed t.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .qcore import SX, SY, SZ, matexp_hermitian
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
-    "XY_HOPPING",
+    "TERMS",
     "FmoParameters",
     "NmrParameters",
     "fmo_terms",
@@ -48,7 +49,8 @@ __all__ = [
     "trotter_unitary",
 ]
 
-XY_HOPPING = np.kron(SX, SX) + np.kron(SY, SY)
+# The local Pauli operator of each term kind, on its one or two sites.
+TERMS = {"z": SZ, "zz": np.kron(SZ, SZ), "xy": np.kron(SX, SX) + np.kron(SY, SY)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,25 +116,24 @@ class NmrParameters:
         return self.omega.shape[0]
 
 
-def fmo_terms(p: FmoParameters) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The local terms of H as (sites, matrix), in the step's factor order.
+def fmo_terms(p: FmoParameters) -> list[tuple[str, tuple[int, ...], float]]:
+    """The local terms of H as (kind, sites, c), in the step's factor order.
 
-    2 nu_jl (XX + YY) on every coupled pair (j, l), pairs descending, then
-    eps_s Z on every site s with eps_s != 0.
+    ("xy", (j, l), 2 nu_jl) for every coupled pair (j, l), pairs descending,
+    then ("z", (s,), eps_s) for every site s with eps_s != 0.
     """
-    terms = [
-        ((j, l), 2.0 * p.nu[j - 1, l - 1] * XY_HOPPING) for j, l in reversed(p.coupled_pairs())
-    ]
-    terms += [((s,), e * SZ) for s, e in enumerate(p.epsilon, 1) if e != 0.0]
+    terms = [("xy", (j, l), 2.0 * p.nu[j - 1, l - 1]) for j, l in reversed(p.coupled_pairs())]
+    terms += [("z", (s,), e) for s, e in enumerate(p.epsilon, 1) if e != 0.0]
     return terms
 
 
 def build_fmo_h(p: FmoParameters) -> np.ndarray:
-    """Dense H: the sum of the placed local terms of ``fmo_terms``."""
+    """Dense H: the sum of the placed local terms of ``fmo_terms`` (at most 10 sites)."""
     n = p.n_sites
+    ci.check_unitary_register(n)  # before the 2^n x 2^n sum is allocated
     h = np.zeros((2**n, 2**n), dtype=complex)
-    for sites, term in fmo_terms(p):
-        h += ci.embed(term, sites, n)
+    for kind, sites, c in fmo_terms(p):
+        h += ci.embed(c * TERMS[kind], sites, n)
     return h
 
 
@@ -159,18 +160,20 @@ def nmr_from_fmo(p: FmoParameters) -> NmrParameters:
 
     omega_l = 2 eps_l makes the compiled single-Z target with tau = t equal to
     e^{-i t eps_l Z_l}; J_l = 2 nu_{l,l+1} makes the compiled XX+YY target with
-    tau = t equal to the bond factor of the Trotter step.
+    tau = t equal to the bond factor of the Trotter step.  A coupling beyond
+    nearest neighbours has no J_l, so a model with one is refused.
     """
-    bonds = np.array(
-        [p.nu[l, l + 1] for l in range(p.n_sites - 1)], dtype=float
-    )
-    return NmrParameters(omega=2.0 * p.epsilon, j=2.0 * bonds)
+    far = [(j, l) for j, l in p.coupled_pairs() if l != j + 1]
+    if far:
+        raise ValueError(f"couplings {far} are not nearest-neighbour bonds of the chain")
+    return NmrParameters(omega=2.0 * p.epsilon, j=2.0 * np.diagonal(p.nu, 1))
 
 
 def trotter_program(p: FmoParameters, dt: float) -> ci.Program:
     """The first-order step as one UNITARY gate e^{-i dt term} per local term."""
     ins = [
-        ci.unitary_gate(matexp_hermitian(term, -1j * dt), sites) for sites, term in fmo_terms(p)
+        ci.unitary_gate(matexp_hermitian(c * TERMS[kind], -1j * dt), sites)
+        for kind, sites, c in fmo_terms(p)
     ]
     return ci.Program(p.n_sites, tuple(ins))
 

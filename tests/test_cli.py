@@ -1,14 +1,27 @@
 """Command-line interface tests (in-process via main(argv))."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fmosim import circuit as ci
-from fmosim.cli import ConfigError, main, parse_config
-from fmosim.compiler import PulseSchedule, compile_xy, schedule_from_json, schedule_to_json
+from fmosim.cli import ConfigError, load_config, main, parse_config
+from fmosim.compiler import (
+    PulseSchedule,
+    compile_single_z,
+    compile_xy,
+    schedule_from_json,
+    schedule_to_json,
+)
 from fmosim.hamiltonians import NmrParameters
 
 BASE = {
@@ -290,6 +303,27 @@ def test_evolve_digital_cap_fires_before_the_initial_state(tmp_path, capsys, met
     assert not out.exists()
 
 
+def test_evolve_exact_route_capped_before_the_initial_state(tmp_path, capsys):
+    # At 16 sites the dense initial state alone would be 64 GiB.
+    doc = deep(
+        BASE,
+        (("fmo",), {"epsilon": [1.0] * 16, "nu_bonds": [0.1] * 15}),
+        (("noise",), {"dissipation": [0.05] * 16, "dephasing": [0.05] * 16}),
+        (("nmr",), ...),
+    )
+    cfgp = write_config(tmp_path, doc)
+    out = tmp_path / "traj.csv"
+    start = time.perf_counter()
+    assert main(["evolve", "--config", cfgp, "--method", "exact", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "capped at 10 qubits" in errors[0]
+    assert "initial_state" not in errors[0]
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_evolve_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 64.0 GiB for an array")
@@ -328,6 +362,54 @@ def test_compile_and_verify_capped_at_ten_sites(tmp_path, capsys, command):
     assert captured.err.startswith("error:") and "capped at 10 qubits" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and (command == "verify" or not sched.exists())
+
+
+# --- compile/verify front door ------------------------------------------------
+
+EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "example.json")
+CHAIN_TARGETS = [f"z:{l}" for l in range(1, 8)] + [f"xy:{l},{l + 1}" for l in range(1, 7)]
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, out, err, files=()):
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert sum(ln.startswith("error:") for ln in err.splitlines()) <= 1
+    for text in (out, *(f.read_text() for f in files if f.exists())):
+        assert not NON_FINITE.search(text)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    spec=st.one_of(st.sampled_from(CHAIN_TARGETS), st.text("xyz:,0123456789 -_+", max_size=10)),
+    tau=st.floats(),
+    duration=st.floats(),
+)
+@example(spec="z:1", tau=1.7e308, duration=0.25)
+@example(spec="z:1", tau=1.0, duration=1.7e308)
+def test_compile_and_verify_keep_the_exit_contract(spec, tau, duration):
+    with tempfile.TemporaryDirectory() as tmp:
+        sched, circ = Path(tmp) / "sched.json", Path(tmp) / "circ.txt"
+        argv = ["compile", spec, f"--tau={tau!r}", "--config", EXAMPLE_CONFIG,
+                "--out", str(sched), "--circuit", str(circ)]
+        assert_contract(*run_cli(argv), files=(sched, circ))
+
+        # The z:1 schedule at tau = 1, with a drawn interval duration.
+        nmr = load_config(EXAMPLE_CONFIG).nmr
+        doc = json.loads(schedule_to_json(compile_single_z(1, 1.0, nmr)))
+        doc["interval_duration"] = duration
+        sched.write_text(json.dumps(doc))
+        for lowering in ("gates", "opaque"):
+            argv = ["verify", str(sched), "--config", EXAMPLE_CONFIG, "--lowering", lowering]
+            assert_contract(*run_cli(argv))
 
 
 # --- channel --------------------------------------------------------------------

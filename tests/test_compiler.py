@@ -19,12 +19,14 @@ from fmosim.compiler import (
     check_decoupling_sign_matrix,
     check_recoupling_sign_matrix,
     compile_single_z,
+    compile_target,
     compile_xy,
     compile_zz,
     decoupling_sign_matrix,
     effective_coefficients,
     hadamard_matrix,
     parse_descriptor,
+    parse_target,
     recoupling_sign_matrix,
     schedule_from_json,
     schedule_from_sign_matrix,
@@ -340,6 +342,24 @@ def test_descriptor_round_trip():
     for desc in ("z:1,2 coeff=1", "xy:3 coeff=1", "zz:1,2,3 coeff=1"):
         with pytest.raises(ValueError, match="malformed target descriptor"):
             parse_descriptor(desc)
+
+
+def test_parse_target_accepts_terms_and_rejects_bad_arity_or_kind():
+    assert parse_target("z:3") == ("z", (3,))
+    assert parse_target("zz:3,4") == ("zz", (3, 4))
+    assert parse_target("xy:3,4") == ("xy", (3, 4))
+    for spec in ("z:1,2", "xy:3", "zz:1,2,3", "w:1", "z:", "z:a", ":1", "Z:1"):
+        with pytest.raises(ValueError, match="malformed target"):
+            parse_target(spec)
+
+
+CHAIN_TARGETS = [f"z:{l}" for l in range(1, 8)] + [f"xy:{l},{l + 1}" for l in range(1, 7)]
+
+
+@pytest.mark.parametrize("spec", CHAIN_TARGETS + ["zz:3,4"])
+def test_target_grammar_is_the_descriptor_head(spec):
+    sched = compile_target(*parse_target(spec), 0.7316, params7(5))
+    assert parse_descriptor(sched.target)[:2] == parse_target(spec)
 
 
 def pauli_embed_target(kind, sites, coeff, n):

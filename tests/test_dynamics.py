@@ -6,6 +6,7 @@ are checked against dense matrix exponentials and single-site closed forms.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_initial_density_labels():
         initial_density("site9", 3)
     with pytest.raises(ValueError):
         initial_density("012", 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: initial_density("site1", 11),
+        lambda: LindbladGenerator(chain_fmo(11), NoiseParameters.uniform(11, 0.05, 0.05)),
+    ],
+    ids=["initial_density", "LindbladGenerator"],
+)
+def test_dense_builders_refuse_eleven_sites_before_allocating(build):
+    # A 2^11 x 2^11 complex matrix is 64 MiB; refusing first keeps the peak tiny.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 10 qubits"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- generator -------------------------------------------------------------------

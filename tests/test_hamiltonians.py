@@ -139,6 +139,12 @@ class TestNmr:
         np.testing.assert_allclose(nmr.omega, 1.4 * np.ones(4))
         np.testing.assert_allclose(nmr.j, 0.2 * np.ones(3))
 
+    def test_nmr_from_fmo_refuses_long_range_coupling(self):
+        nu = np.zeros((3, 3))
+        nu[0, 2] = nu[2, 0] = 0.1
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            nmr_from_fmo(FmoParameters(epsilon=np.ones(3), nu=nu))
+
 
 class TestTrotter:
     def test_unitary(self):
