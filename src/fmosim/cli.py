@@ -164,9 +164,9 @@ def parse_config(doc: dict) -> RunConfig:
     else:
         try:
             nmr = nmr_from_fmo(fmo)
-        except ValueError:
+        except ValueError as exc:
             raise ConfigError(
-                "config.nmr can only be derived for chain couplings; add an explicit nmr block"
+                f"config.nmr cannot be derived from config.fmo: {exc}; add an explicit nmr block"
             ) from None
 
     edoc = doc["evolution"]

@@ -106,6 +106,8 @@ class NmrParameters:
             raise ValueError("omega must be a non-empty 1-d array")
         if j.shape != (omega.shape[0] - 1,):
             raise ValueError("j must have one entry per nearest-neighbour bond")
+        if not (np.isfinite(omega).all() and np.isfinite(j).all()):
+            raise ValueError("omega and j must be finite")
         omega.setflags(write=False)
         j.setflags(write=False)
         object.__setattr__(self, "omega", omega)
@@ -161,12 +163,17 @@ def nmr_from_fmo(p: FmoParameters) -> NmrParameters:
     omega_l = 2 eps_l makes the compiled single-Z target with tau = t equal to
     e^{-i t eps_l Z_l}; J_l = 2 nu_{l,l+1} makes the compiled XX+YY target with
     tau = t equal to the bond factor of the Trotter step.  A coupling beyond
-    nearest neighbours has no J_l, so a model with one is refused.
+    nearest neighbours has no J_l, and a doubling past the float range has no
+    finite value, so a model with either is refused.
     """
     far = [(j, l) for j, l in p.coupled_pairs() if l != j + 1]
     if far:
         raise ValueError(f"couplings {far} are not nearest-neighbour bonds of the chain")
-    return NmrParameters(omega=2.0 * p.epsilon, j=2.0 * np.diagonal(p.nu, 1))
+    with np.errstate(over="ignore"):
+        omega, j = 2.0 * p.epsilon, 2.0 * np.diagonal(p.nu, 1)
+    if not (np.isfinite(omega).all() and np.isfinite(j).all()):
+        raise ValueError("omega = 2 epsilon or J = 2 nu overflows the float range")
+    return NmrParameters(omega=omega, j=j)
 
 
 def trotter_program(p: FmoParameters, dt: float) -> ci.Program:

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fmosim
 from fmosim import circuit as ci
 from fmosim.cli import ConfigError, load_config, main, parse_config
 from fmosim.compiler import (
@@ -95,6 +99,22 @@ def test_config_long_range_needs_explicit_nmr():
         parse_config(doc)
 
 
+def test_derived_nmr_overflow_exits_2_under_warnings_as_errors(tmp_path):
+    doc = deep(BASE, (("fmo", "epsilon"), [1e308, 1.0, 1.0]), (("nmr",), ...))
+    cfgp = write_config(tmp_path, doc)
+    src = str(Path(fmosim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["compile", "z:1", "--tau", "1", "--config", cfgp]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fmosim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: config.nmr") and "overflows" in line
+
+
 # --- compile / verify ----------------------------------------------------------
 
 
@@ -129,6 +149,17 @@ def test_compile_rejects_long_range_pair(tmp_path, capsys):
     assert main(["compile", "zz:1,3", "--tau", "1", "--config", cfgp]) == 2
     assert main(["compile", "w:1", "--tau", "1", "--config", cfgp]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["z:0_1", "z:+1", "z: 1", "z:\u0661"])
+def test_compile_target_sites_are_ascii_digit_runs(tmp_path, capsys, spec):
+    cfgp = write_config(tmp_path, BASE)
+    out = tmp_path / "sched.json"
+    assert main(["compile", spec, "--tau", "1", "--config", cfgp, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: malformed target {spec!r}")
+    assert captured.out == "" and not out.exists()
 
 
 def test_verify_pass_fail_and_malformed(tmp_path, capsys):

@@ -5,6 +5,7 @@ hand-assembled Pauli terms; schedule structure is checked against the sign
 matrix invariants rather than against stored artifacts.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fmosim import circuit as ci
 from fmosim.compiler import (
     ConjugatedSchedule,
     PulseSchedule,
+    Segment,
     check_decoupling_sign_matrix,
     check_recoupling_sign_matrix,
     compile_single_z,
@@ -36,7 +38,16 @@ from fmosim.compiler import (
     verify_schedule,
 )
 from fmosim.hamiltonians import NmrParameters, build_nmr_h
-from fmosim.qcore import SX, SY, SZ, matexp_hermitian, pauli_embed
+from fmosim.qcore import (
+    SCHEDULE_VERIFY_ATOL,
+    SX,
+    SY,
+    SZ,
+    average_gate_overlap,
+    matexp_hermitian,
+    pauli_embed,
+    phase_align,
+)
 
 
 def params7(seed: int | None = None) -> NmrParameters:
@@ -290,6 +301,67 @@ def test_verify_notes_parameter_mismatch():
     assert report.params_coefficient == pytest.approx(1.0)
 
 
+# --- block reconstruction vs the dense unitary ----------------------------------
+
+
+def dense_verify(sched, params, lowering):
+    """The dense path: the full 2^n x 2^n schedule unitary against the full target."""
+    v = target_unitary(sched.target, sched.n_qubits)
+    u = phase_align(ci.unitary_of(schedule_program(sched, params, lowering)), v)
+    err = float(np.linalg.norm(u - v, 2))
+    return err, average_gate_overlap(u, v), err <= SCHEDULE_VERIFY_ATOL
+
+
+def assert_matches_dense(sched, params, lowering):
+    report = verify_schedule(sched, params, lowering)
+    err, fid, passed = dense_verify(sched, params, lowering)
+    assert abs(report.norm_error - err) <= 1e-12, (sched.target, lowering)
+    assert abs(report.fidelity - fid) <= 1e-12, (sched.target, lowering)
+    assert report.passed == passed, (sched.target, lowering)
+    return report
+
+
+@pytest.mark.parametrize("lowering", ["opaque", "gates"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_verify_matches_dense_reconstruction(n, lowering):
+    rng = np.random.default_rng(40 + n)
+    p = NmrParameters(omega=rng.uniform(-2, 2, n), j=rng.uniform(-1, 1, n - 1))
+    specs = [f"z:{l}" for l in range(1, n + 1)] + [f"xy:{l},{l + 1}" for l in range(1, n)]
+    specs += ["zz:3,4"] if n >= 4 else []
+    for spec in specs:
+        sched = compile_target(*parse_target(spec), 0.7316, p)
+        assert assert_matches_dense(sched, p, lowering).passed
+
+
+@pytest.mark.parametrize("lowering", ["opaque", "gates"])
+def test_verify_matches_dense_on_wrong_schedules(lowering):
+    p = params7(seed=51)
+    z = compile_single_z(1, 1.0, p)
+    xy = compile_xy((2, 3), 0.6, p)
+    layers = list(z.pulse_layers)
+    layers[1] = layers[3] = (3, 4, 5, 6, 7)  # qubit 2's pulse pair dropped
+    extra_h = dataclasses.replace(xy.segments[0], pre=xy.segments[0].pre + (ci.h(5),))
+    wrong = [
+        dataclasses.replace(z, target=f"z:1 coeff={0.5 * 1.1 * p.omega[0]:.17g}"),
+        dataclasses.replace(xy, target=f"xy:2,3 coeff={1.1 * p.j[1]:.17g}"),
+        PulseSchedule(7, z.interval_duration, tuple(layers), z.target),
+        dataclasses.replace(xy, segments=(extra_h,) + xy.segments[1:]),
+    ]
+    for sched in wrong:
+        assert not assert_matches_dense(sched, p, lowering).passed, sched.target
+    for sched in (z, xy):
+        assert not assert_matches_dense(sched, params7(seed=52), lowering).passed
+    # Passing edits, still compared: swapping pre and post turns YY into
+    # (-Y)(-Y), and H on every other qubit before and after each segment
+    # conjugates the identity the segment leaves there (one block of all 7 qubits).
+    others = tuple(ci.h(q) for q in (1, 4, 5, 6, 7))
+    swapped = [Segment(seg.post, seg.schedule, seg.pre) for seg in xy.segments]
+    everywhere = [Segment(seg.pre + others, seg.schedule, others + seg.post) for seg in xy.segments]
+    for segments in (swapped, everywhere):
+        sched = dataclasses.replace(xy, segments=tuple(segments))
+        assert assert_matches_dense(sched, p, lowering).passed
+
+
 def test_schedule_program_rejects_width_mismatch():
     sched = compile_single_z(1, 1.0, params7())
     with pytest.raises(ValueError):
@@ -426,3 +498,6 @@ def test_json_rejects_unknown_keys_and_bad_counts():
     doc["intervals"] = 3
     with pytest.raises(ValueError):
         schedule_from_json(_json.dumps(doc))
+    empty = {"n_qubits": 7, "target": "xy:1,2 coeff=0.1", "segments": []}
+    with pytest.raises(ValueError, match="at least one segment"):
+        schedule_from_json(_json.dumps(empty))
