@@ -96,7 +96,7 @@ _ARITY = {"X": 1, "H": 1, "RX": 1, "RY": 1, "RZ": 1, "CZ": 2, "CNOT": 2, "CPHASE
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One unitary instruction.  ``matrix`` is set only for kind UNITARY."""
+    """One unitary instruction.  ``matrix``, for kind UNITARY only, is 2^k x 2^k or its diagonal."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -106,9 +106,10 @@ class Gate:
     def __post_init__(self):
         if self.kind == "UNITARY":
             m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (2 ** len(self.qubits),) * 2:
+            dim = 2 ** len(self.qubits)
+            if m.shape not in ((dim,), (dim, dim)):
                 raise ValueError("UNITARY matrix shape does not match qubit count")
-            if not is_unitary(m, atol=UNITARY_ATOL):
+            if not (np.abs(np.abs(m) - 1).max() <= UNITARY_ATOL if m.ndim == 1 else is_unitary(m)):
                 raise ValueError("UNITARY block is not unitary")
             object.__setattr__(self, "matrix", m)
         else:
@@ -255,7 +256,7 @@ def unitary_gate(matrix: np.ndarray, qubits: Sequence[int]) -> Gate:
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
-    """Local unitary of a gate on its own qubits (row = qubit order as listed)."""
+    """Local unitary of a gate on its qubits (row = qubit order as listed) or its phase vector."""
     if g.kind == "UNITARY":
         return g.matrix
     if g.kind in _FIXED:
@@ -269,9 +270,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
 # One kernel, ``_apply``, places every local operator: it moves the k target
 # axes next to each other at the position of the first of them (a no-op for
 # ascending neighbours), multiplies the contiguous (2^lo, 2^k, rest) view by
-# the 2^k x 2^k operator with one matmul, and moves the axes back.  Gates,
-# Kraus operators, ``unitary_of`` and ``embed`` (a dense local operator, used
-# to build Hamiltonians and target unitaries) all go through it.
+# the 2^k x 2^k operator with one matmul (a phase vector elementwise), and moves
+# the axes back.  Gates, Kraus operators, ``unitary_of`` and ``embed`` (a dense
+# local operator, for Hamiltonians and target unitaries) all go through it.
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, qubits: Sequence[int], offset: int) -> np.ndarray:
@@ -280,7 +281,8 @@ def _apply(tensor: np.ndarray, op: np.ndarray, qubits: Sequence[int], offset: in
     lo = min(axes)
     block = list(range(lo, lo + k))
     t = np.moveaxis(tensor, axes, block)
-    out = np.matmul(op, t.reshape(2**lo, 2**k, -1))
+    t3 = t.reshape(2**lo, 2**k, -1)
+    out = op[:, None] * t3 if op.ndim == 1 else np.matmul(op, t3)
     return np.moveaxis(out.reshape(t.shape), block, axes)
 
 
@@ -396,7 +398,7 @@ def check_unitary_register(n: int) -> None:
     """Refuse a dense 2^n x 2^n matrix on more than 10 qubits.
 
     Checked where one is allocated from a size, so every route is capped:
-    ``unitary_of``, ``embed``, ``build_fmo_h``, opaque intervals, ``initial_density``.
+    ``unitary_of``, ``embed``, ``build_fmo_h``, ``initial_density``, ``export_text``.
     """
     if n > 10:
         raise RegisterTooLarge(f"dense 2^n x 2^n matrices capped at 10 qubits, got {n}")
@@ -446,8 +448,10 @@ def export_text(program: Program) -> str:
         if isinstance(ins, Gate):
             targets = " ".join(str(q) for q in ins.qubits)
             if ins.kind == "UNITARY":
+                check_unitary_register(len(ins.qubits))  # a phase vector is written dense
                 lines.append(f"UNITARY {targets} :")
-                lines.extend(_fmt_matrix_rows(ins.matrix))
+                m = ins.matrix
+                lines.extend(_fmt_matrix_rows(np.diag(m) if m.ndim == 1 else m))
             elif ins.angle is not None:
                 lines.append(f"{ins.kind}({ins.angle:.17g}) {targets}")
             else:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -88,14 +87,21 @@ def _require_keys(doc: dict, where: str, required: set, optional: set = frozense
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
 
 
+def _finite(value) -> bool:
+    """An int or a float (not a boolean or a numeric string) that is finite."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _number(value, where: str) -> float:
+    if not _finite(value):
+        raise ConfigError(f"{where} must be a finite number")
+    return float(value)
+
+
 def _vector(doc, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a flat list of finite numbers") from None
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+    if not isinstance(doc, list) or not all(map(_finite, doc)):
         raise ConfigError(f"{where} must be a flat list of finite numbers")
-    return arr
+    return np.array(doc, dtype=float)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -106,7 +112,7 @@ def parse_config(doc: dict) -> RunConfig:
         {"schema_version", "fmo", "noise", "evolution"},
         {"nmr", "output"},
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if type(doc["schema_version"]) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc['schema_version']!r} "
             f"(this build reads version {SCHEMA_VERSION})"
@@ -119,12 +125,12 @@ def parse_config(doc: dict) -> RunConfig:
     if ("nu" in fdoc) == ("nu_bonds" in fdoc):
         raise ConfigError("config.fmo needs exactly one of 'nu' or 'nu_bonds'")
     if "nu" in fdoc:
-        try:
-            nu = np.asarray(fdoc["nu"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("config.fmo.nu must be a finite n-by-n matrix") from None
-        if nu.shape != (n, n) or not np.all(np.isfinite(nu)):
+        rows = fdoc["nu"]
+        if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(r, list) or len(r) != n or not all(map(_finite, r)) for r in rows
+        ):
             raise ConfigError("config.fmo.nu must be a finite n-by-n matrix")
+        nu = np.array(rows, dtype=float)
     else:
         bonds = _vector(fdoc["nu_bonds"], "config.fmo.nu_bonds")
         if bonds.shape[0] != n - 1:
@@ -171,10 +177,11 @@ def parse_config(doc: dict) -> RunConfig:
 
     edoc = doc["evolution"]
     _require_keys(edoc, "config.evolution", {"t_max", "dt", "method", "initial_state"})
-    t_max, dt = float(edoc["t_max"]), float(edoc["dt"])
-    if not (math.isfinite(t_max) and t_max >= 0):
+    t_max = _number(edoc["t_max"], "config.evolution.t_max")
+    dt = _number(edoc["dt"], "config.evolution.dt")
+    if t_max < 0:
         raise ConfigError("config.evolution.t_max must be finite and nonnegative")
-    if not (math.isfinite(dt) and dt > 0):
+    if dt <= 0:
         raise ConfigError("config.evolution.dt must be finite and positive")
     method = edoc["method"]
     if method not in ("exact", "trotter", "both"):
@@ -344,8 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main(); each cmd_* resolves its helpers at call time
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,13 +210,10 @@ class PulseSchedule:
             raise ValueError("need at least one interval (two layer slots)")
         if not math.isfinite(self.interval_duration):
             raise ValueError("interval duration must be finite")
-        counts = np.zeros(self.n_qubits, dtype=int)
-        for layer in layers:
-            for q in layer:
-                if not 1 <= q <= self.n_qubits:
-                    raise ValueError(f"pulsed qubit {q} outside register")
-                counts[q - 1] += 1
-        if np.any(counts % 2):
+        pulses = sorted(q for layer in layers for q in layer)
+        if pulses and not 1 <= pulses[0] <= pulses[-1] <= self.n_qubits:
+            raise ValueError(f"pulsed qubit outside register 1..{self.n_qubits}")
+        if pulses[0::2] != pulses[1::2]:  # sorted: each qubit is pulsed an even number of times
             raise ValueError("pulse frame does not return to the identity")
 
     @property
@@ -410,19 +408,14 @@ def compile_target(
 # --- lowering to circuits and verification ----------------------------------
 
 
-def _interval_phases(params: NmrParameters, delta: float) -> np.ndarray:
-    """exp(-i delta H_NMR) as its length-2^n diagonal."""
-    return np.exp(-1j * delta * nmr_diagonal(params))
-
-
 def _interval_instructions(
     params: NmrParameters, delta: float, lowering: str
 ) -> tuple[ci.Gate, ...]:
+    """exp(-i delta H_NMR) as gates on ascending qubit runs; ``opaque``: one phase vector."""
     n = params.n_qubits
     if lowering == "opaque":
-        ci.check_unitary_register(n)  # before the 2^n x 2^n diagonal is allocated
-        u = np.diag(_interval_phases(params, delta))
-        return (ci.unitary_gate(u, tuple(range(1, n + 1))),)
+        phases = np.exp(-1j * delta * nmr_diagonal(params))
+        return (ci.unitary_gate(phases, tuple(range(1, n + 1))),)
     if lowering != "gates":
         raise ValueError(f"unknown lowering {lowering!r}")
     out: list[ci.Gate] = []
@@ -444,9 +437,9 @@ def schedule_program(
 ) -> ci.Program:
     """Lower a schedule to a circuit.
 
-    ``opaque`` emits each interval as one explicit diagonal unitary block
-    (exact, the default for verification); ``gates`` decomposes intervals
-    into RZ singles and CNOT-RZ-CNOT bond factors (the default for export).
+    ``opaque`` emits each interval as one UNITARY phase vector (exact, used by
+    the ``compiled-pulses`` step); ``gates`` decomposes intervals into RZ
+    singles and CNOT-RZ-CNOT bond factors (the default for export).
     """
     if isinstance(sched, ConjugatedSchedule):
         ins: list[ci.Gate] = []
@@ -489,30 +482,29 @@ class VerificationReport:
 def _flat_phases(sched: PulseSchedule, params: NmrParameters, lowering: str) -> np.ndarray:
     """Exact unitary of a flat schedule as its diagonal, O(2^n) per instruction.
 
-    Walks U|x> = phase[x] |idx[x]>: X pulses and CNOTs permute idx, RZ gates and
-    opaque intervals multiply phase.  CNOTs pair up inside each interval and the
-    frame closes, so the last layer only returns idx to the identity: skipped.
+    Walks U|x> = phase[x] |idx[x]>: X pulses and CNOTs permute idx, diagonal gates
+    multiply phase by diagonal[(idx >> shift) & mask].  CNOTs pair up inside each
+    interval and the frame closes, so the last layer (idx back to identity) is skipped.
     """
     n = sched.n_qubits
     _check_phases(sched.target_time, params)
-    if lowering == "opaque":
-        interval = _interval_phases(params, sched.interval_duration)
-    else:
-        gates = _interval_instructions(params, sched.interval_duration, lowering)
-        gates = [(g, ci.gate_matrix(g).diagonal()) for g in gates]
+    walk = []
+    for g in _interval_instructions(params, sched.interval_duration, lowering):
+        d = ci.gate_matrix(g)
+        if g.kind == "CNOT":  # the control bit flips the target bit
+            walk.append((n - g.qubits[0], 1, n - g.qubits[1], None))
+        else:
+            walk.append((n - g.qubits[-1], len(d) - 1, 0, d if d.ndim == 1 else d.diagonal()))
     idx = np.arange(2**n)
     phase = np.ones(2**n, dtype=complex)
     for layer in sched.pulse_layers[:-1]:
         for q in layer:
             idx ^= 1 << (n - q)
-        if lowering == "opaque":
-            phase *= interval[idx]
-            continue
-        for g, diagonal in gates:
-            bits = (idx >> (n - g.qubits[0])) & 1
-            if g.kind == "CNOT":
-                idx ^= bits << (n - g.qubits[1])
-            else:  # RZ
+        for shift, mask, target, diagonal in walk:
+            bits = (idx >> shift) & mask
+            if diagonal is None:
+                idx ^= bits << target
+            else:
                 phase *= diagonal[bits]
     return phase
 
@@ -590,8 +582,25 @@ def _gate_to_dict(g: ci.Gate) -> dict:
     return d
 
 
+_JSON_TYPES = {"an integer": (int,), "a finite number": (int, float), "a string": (str,)}
+
+
+def _json(value, kind: str, where: str):
+    """``value`` if it is JSON ``kind``, a key of ``_JSON_TYPES`` (never a boolean)."""
+    types = _JSON_TYPES[kind]
+    if type(value) not in types or float in types and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where} must be {kind}")
+    return value
+
+
+def _json_ints(values, where: str) -> tuple[int, ...]:
+    return tuple(_json(q, "an integer", where) for q in values)
+
+
 def _gate_from_dict(d: dict) -> ci.Gate:
-    return ci.Gate(d["kind"], tuple(d["qubits"]), d.get("angle"))
+    kind = _json(d["kind"], "a string", "gate kind")
+    angle = float(_json(d["angle"], "a finite number", "gate angle")) if "angle" in d else None
+    return ci.Gate(kind, _json_ints(d["qubits"], "gate qubit"), angle)
 
 
 def _flat_dict(s: PulseSchedule) -> dict:
@@ -610,12 +619,12 @@ def _flat_from_dict(d: dict) -> PulseSchedule:
     if unknown:
         raise ValueError(f"unknown schedule keys {sorted(unknown)}")
     s = PulseSchedule(
-        int(d["n_qubits"]),
-        float(d["interval_duration"]),
-        tuple(tuple(layer) for layer in d["pulse_layers"]),
-        str(d.get("target", "")),
+        _json(d["n_qubits"], "an integer", "n_qubits"),
+        float(_json(d["interval_duration"], "a finite number", "interval_duration")),
+        tuple(_json_ints(layer, "pulse layer entry") for layer in d["pulse_layers"]),
+        _json(d.get("target", ""), "a string", "target"),
     )
-    if "intervals" in d and int(d["intervals"]) != s.intervals:
+    if "intervals" in d and _json(d["intervals"], "an integer", "intervals") != s.intervals:
         raise ValueError("interval count does not match pulse layers")
     return s
 
@@ -653,4 +662,5 @@ def schedule_from_json(text: str) -> PulseSchedule | ConjugatedSchedule:
         )
         for seg in doc["segments"]
     )
-    return ConjugatedSchedule(int(doc["n_qubits"]), str(doc["target"]), segments)
+    n = _json(doc["n_qubits"], "an integer", "n_qubits")
+    return ConjugatedSchedule(n, _json(doc["target"], "a string", "target"), segments)

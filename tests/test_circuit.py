@@ -219,6 +219,62 @@ def test_matmul_kernel_matches_tensordot_kernel(monkeypatch):
             assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
 
 
+# --- a diagonal UNITARY held as its phase vector ----------------------------------
+
+
+def test_phase_vector_gate_matches_its_dense_diagonal():
+    rng = np.random.default_rng(31)
+    placements = []
+    for n in range(1, 6):
+        for _ in range(6):
+            k = int(rng.integers(1, n + 1))
+            qubits = tuple(int(q) + 1 for q in rng.permutation(n)[:k])
+            placements.append(qubits)
+            d = np.exp(1j * rng.uniform(-math.pi, math.pi, size=2**k))
+            vec = ci.Program(n, (ci.unitary_gate(d, qubits),))
+            dense = ci.Program(n, (ci.unitary_gate(np.diag(d), qubits),))
+            assert vec.instructions[0].matrix.shape == (2**k,)
+            psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            psi /= np.linalg.norm(psi)
+            a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+            pairs = [
+                (ci.unitary_of(vec), ci.unitary_of(dense)),
+                (ci.run_statevector(vec, psi), ci.run_statevector(dense, psi)),
+                (ci.run_density(vec, rho), ci.run_density(dense, rho)),
+                (ci.embed(d, qubits, n), ci.embed(np.diag(d), qubits, n)),
+            ]
+            for got, want in pairs:
+                assert got.shape == want.shape and np.abs(got - want).max() <= 1e-15
+            assert ci.export_text(vec) == ci.export_text(dense)
+    assert any(list(q) != sorted(q) for q in placements)  # descending
+    assert any(max(q) - min(q) >= len(q) for q in placements)  # non-adjacent
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        np.array([1.0, 1.001, 1.0, 1.0]),
+        np.array([1.0, 0.0, 1.0, 1.0]),
+        np.array([1.0, np.nan, 1.0, 1.0]),
+        np.ones(3),
+        np.ones(8),
+        np.ones((2, 2)),
+    ],
+    ids=["modulus", "zero", "nan", "short", "long", "2x2"],
+)
+def test_phase_vector_gate_refused(phases):
+    with pytest.raises(ValueError):
+        ci.unitary_gate(phases, (1, 2))
+
+
+def test_phase_vector_export_capped_at_ten_qubits():
+    prog = ci.Program(11, (ci.unitary_gate(np.ones(2**11), tuple(range(1, 12))),))
+    assert ci.run_statevector(prog, 5)[5] == 1.0
+    with pytest.raises(ci.RegisterTooLarge):
+        ci.export_text(prog)
+
+
 def test_partial_trace_product_state():
     rho_a = np.array([[0.75, 0.1j], [-0.1j, 0.25]])
     rho_b = np.array([[0.5, 0.2], [0.2, 0.5]])

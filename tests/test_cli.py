@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import fmosim
 from fmosim import circuit as ci
+from fmosim import cli
 from fmosim.cli import ConfigError, load_config, main, parse_config
 from fmosim.compiler import (
     PulseSchedule,
@@ -443,6 +445,164 @@ def test_compile_and_verify_keep_the_exit_contract(spec, tau, duration):
             assert_contract(*run_cli(argv))
 
 
+# --- document front doors: schedule files and configs ---------------------------
+
+
+def set_path(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` (keys and indices) replaced."""
+    out = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    cur = out
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    return out
+
+
+def example_schedules():
+    nmr = load_config(EXAMPLE_CONFIG).nmr
+    return {
+        "z": json.loads(schedule_to_json(compile_single_z(2, 0.5, nmr))),
+        "xy": json.loads(schedule_to_json(compile_xy((2, 3), 0.5, nmr))),
+    }
+
+
+ANGLE = ("segments", 1, "pre", 0, "angle")
+QUBITS = ("segments", 0, "pre", 0, "qubits")
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("xy", ANGLE, "abc"),
+        ("xy", ANGLE, [1.0]),
+        ("xy", ANGLE, float("nan")),
+        ("xy", ANGLE, float("inf")),
+        ("xy", ANGLE, True),
+        ("xy", ANGLE, 10**400),
+        ("xy", QUBITS, ["5"]),
+        ("xy", QUBITS, [True]),
+        ("xy", QUBITS, [2.0]),
+        ("xy", ("segments", 0, "pre", 0, "kind"), 1),
+        ("xy", ("target",), 5),
+        ("xy", ("segments",), {}),
+        ("z", ("pulse_layers", 1), [1.0, 3.0]),
+        ("z", ("pulse_layers", 1), "13"),
+        ("z", ("n_qubits",), 7.9),
+        ("z", ("n_qubits",), "7"),
+        ("z", ("interval_duration",), "0.175"),
+        ("z", ("interval_duration",), True),
+        ("z", ("intervals",), 4.0),
+        ("z", (), [1, 2]),
+    ],
+)
+def test_schedule_fields_are_type_checked(tmp_path, name, path, value):
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(set_path(example_schedules()[name], path, value)))
+    code, out, err = run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG])
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot parse schedule {sched}: ")
+
+
+def test_schedule_register_size_allocates_nothing_before_the_cap(tmp_path):
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(set_path(example_schedules()["z"], ("n_qubits",), 10**7)))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "capped at 10 qubits" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("evolution", "t_max"), [1], "config.evolution.t_max must be a finite number"),
+        (("evolution", "t_max"), None, "config.evolution.t_max must be a finite number"),
+        (("evolution", "t_max"), True, "config.evolution.t_max must be a finite number"),
+        (("evolution", "t_max"), 10**400, "config.evolution.t_max must be a finite number"),
+        (("evolution", "dt"), "abc", "config.evolution.dt must be a finite number"),
+        (("evolution", "dt"), float("nan"), "config.evolution.dt must be a finite number"),
+        (("fmo", "epsilon"), [True] * 3, "config.fmo.epsilon must be a flat list of finite numbers"),
+        (("fmo", "epsilon"), ["1"] * 3, "config.fmo.epsilon must be a flat list of finite numbers"),
+        (("fmo", "nu_bonds"), [0.1, 10**400], "config.fmo.nu_bonds must be a flat list of finite numbers"),
+        (("schema_version",), True, "unsupported schema_version True (this build reads version 1)"),
+    ],
+)
+def test_numeric_config_fields_are_type_checked(tmp_path, path, value, message):
+    cfgp = write_config(tmp_path, deep(BASE, (path, value)))
+    for argv in (["compile", "z:1", "--tau", "1", "--config", cfgp], ["evolve", "--config", cfgp]):
+        assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+def test_config_nu_matrix_entries_are_numbers(tmp_path):
+    nu = [[0, 0.1, 0], [0.1, 0, "0.2"], [0, 0.2, 0]]
+    doc = deep(BASE, (("fmo", "nu"), nu), (("fmo", "nu_bonds"), ...))
+    with pytest.raises(ConfigError, match="n-by-n"):
+        parse_config(doc)
+
+
+def json_fields(doc, prefix=()):
+    """The path (keys and list indices) of every object field inside ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        if isinstance(doc, dict):
+            yield prefix + (k,)
+        yield from json_fields(v, prefix + (k,))
+
+
+FUZZ_DOCS = {
+    "config": deep(json.loads(Path(EXAMPLE_CONFIG).read_text()),
+                   (("evolution", "t_max"), 0.04), (("evolution", "dt"), 0.02)),
+    **example_schedules(),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@st.composite
+def front_door_edits(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    return name, draw(st.sampled_from(list(json_fields(FUZZ_DOCS[name])))), draw(JSON_VALUES)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(edit=front_door_edits())
+@example(edit=("xy", ANGLE, "abc"))
+@example(edit=("config", ("evolution", "t_max"), [1]))
+def test_document_front_doors_keep_the_exit_contract(edit):
+    name, path, value = edit
+    doc = set_path(FUZZ_DOCS[name], path, value)
+    if name == "config" and path[-1:] in (("t_max",), ("dt",)):
+        if type(value) in (int, float) and 0 < value < 1e300:  # keep t_max <= 2 dt
+            doc["evolution"]["dt" if path[-1] == "t_max" else "t_max"] = (
+                value / 2 if path[-1] == "t_max" else 2 * value
+            )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, sched = Path(tmp) / "config.json", Path(tmp) / "sched.json"
+        circ, traj = Path(tmp) / "circ.txt", Path(tmp) / "traj.csv"
+        cfg.write_text(json.dumps(doc if name == "config" else FUZZ_DOCS["config"]))
+        sched.write_text(json.dumps(FUZZ_DOCS["xy"] if name == "config" else doc))
+        if name == "config":
+            argv = ["compile", "z:2", "--tau", "0.5", "--config", str(cfg),
+                    "--out", str(Path(tmp) / "out.json"), "--circuit", str(circ)]
+            assert_contract(*run_cli(argv), files=(Path(tmp) / "out.json", circ))
+            argv = ["evolve", "--config", str(cfg), "--out", str(traj)]
+            assert_contract(*run_cli(argv), files=(traj,))
+        for lowering in ("opaque", "gates"):
+            argv = ["verify", str(sched), "--config", str(cfg), "--lowering", lowering]
+            assert_contract(*run_cli(argv))
+
+
 # --- channel --------------------------------------------------------------------
 
 
@@ -493,6 +653,16 @@ def test_channel_rejects_non_finite(capsys, kind, rate, time):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for _ in range(3):
+        assert main(["channel", "dissipation", "--rate", "1", "--time", "0.1"]) == 0
+    assert built == [1]
+    capsys.readouterr()
 
 
 def test_unknown_subcommand_exits_2():

@@ -392,7 +392,17 @@ def test_opaque_interval_matches_hamiltonian_exponential():
     blocks = [ins for ins in prog.instructions if ins.kind == "UNITARY"]
     assert len(blocks) == sched.intervals
     want = matexp_hermitian(build_nmr_h(p), -1j * sched.interval_duration)
-    assert np.abs(blocks[0].matrix - want).max() < 1e-12
+    assert np.abs(np.diag(blocks[0].matrix) - want).max() < 1e-12
+
+
+def test_opaque_program_survives_the_text_round_trip():
+    p = params7(seed=24)
+    for sched in (compile_single_z(3, 0.7316, p), compile_xy((2, 3), 0.7316, p)):
+        prog = schedule_program(sched, p, "opaque")
+        vectors = [ins.matrix for ins in prog.instructions if ins.kind == "UNITARY"]
+        assert vectors and all(v.shape == (2**7,) for v in vectors)
+        parsed = ci.parse_text(ci.export_text(prog))
+        assert np.abs(ci.unitary_of(parsed) - ci.unitary_of(prog)).max() <= 1e-15
 
 
 def test_unknown_lowering_rejected():
