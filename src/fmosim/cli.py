@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.schedule, encoding="utf-8") as fh:
             sched = schedule_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse schedule {args.schedule}: {exc}") from None
     report = verify_schedule(sched, cfg.nmr, lowering=args.lowering)
     print(report.summary())

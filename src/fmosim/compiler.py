@@ -36,9 +36,9 @@ Targets are the term kinds of ``hamiltonians.TERMS``: ``parse_target`` reads
 ``kind:sites``, also the head of every target descriptor, and
 ``compile_target`` dispatches a kind to its compiler.
 
-``verify_schedule`` reconstructs a schedule's unitary exactly, without a
-2^n x 2^n matrix: a flat schedule is a phase vector, and a conjugated one is
-block diagonal over the qubits that its gates and its target leave alone.
+``apply_schedule`` is the one exact reconstruction of a schedule's unitary,
+segment by segment, each flat schedule as its phase vector; the
+``compiled-pulses`` step and ``verify_schedule`` both apply it.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ __all__ = [
     "parse_target",
     "compile_target",
     "schedule_program",
+    "apply_schedule",
     "parse_descriptor",
     "target_unitary",
     "VerificationReport",
@@ -224,6 +225,10 @@ class PulseSchedule:
     def target_time(self) -> float:
         return self.interval_duration * self.intervals
 
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return (Segment((), self, ()),)  # a flat schedule: one segment, no conjugators
+
     def sign_matrix(self) -> np.ndarray:
         """Reconstruct the sign matrix realized by the pulse layers."""
         s = np.ones((self.n_qubits, self.intervals), dtype=int)
@@ -255,6 +260,8 @@ class ConjugatedSchedule:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("a conjugated schedule needs at least one segment")
+        if any(seg.schedule.n_qubits != self.n_qubits for seg in self.segments):
+            raise ValueError("segment width does not match the schedule's n_qubits")
 
     @property
     def target_time(self) -> float:
@@ -435,28 +442,24 @@ def schedule_program(
     params: NmrParameters,
     lowering: str = "opaque",
 ) -> ci.Program:
-    """Lower a schedule to a circuit.
+    """Lower a schedule to a circuit, for export and as the tests' dense reference.
 
-    ``opaque`` emits each interval as one UNITARY phase vector (exact, used by
-    the ``compiled-pulses`` step); ``gates`` decomposes intervals into RZ
-    singles and CNOT-RZ-CNOT bond factors (the default for export).
+    ``opaque`` emits each interval as one UNITARY phase vector; ``gates``
+    decomposes intervals into RZ singles and CNOT-RZ-CNOT bond factors.
     """
-    if isinstance(sched, ConjugatedSchedule):
-        ins: list[ci.Gate] = []
-        for seg in sched.segments:
-            ins.extend(seg.pre)
-            ins.extend(schedule_program(seg.schedule, params, lowering).instructions)
-            ins.extend(seg.post)
-        return ci.Program(sched.n_qubits, tuple(ins))
     if params.n_qubits != sched.n_qubits:
         raise ValueError("parameter set does not match schedule width")
-    _check_phases(sched.target_time, params)
-    interval = _interval_instructions(params, sched.interval_duration, lowering)
-    ins = []
-    for k, layer in enumerate(sched.pulse_layers):
-        ins.extend(ci.x(q) for q in layer)
-        if k < sched.intervals:
-            ins.extend(interval)
+    ins: list[ci.Gate] = []
+    for seg in sched.segments:
+        flat = seg.schedule
+        _check_phases(flat.target_time, params)
+        interval = _interval_instructions(params, flat.interval_duration, lowering)
+        ins.extend(seg.pre)
+        for k, layer in enumerate(flat.pulse_layers):
+            ins.extend(ci.x(q) for q in layer)
+            if k < flat.intervals:
+                ins.extend(interval)
+        ins.extend(seg.post)
     return ci.Program(sched.n_qubits, tuple(ins))
 
 
@@ -509,6 +512,30 @@ def _flat_phases(sched: PulseSchedule, params: NmrParameters, lowering: str) -> 
     return phase
 
 
+def apply_schedule(
+    sched: PulseSchedule | ConjugatedSchedule,
+    params: NmrParameters,
+    u: np.ndarray,
+    lowering: str = "opaque",
+) -> np.ndarray:
+    """The schedule's exact unitary times ``u``, a 2^n x k matrix.
+
+    Per segment: the pre-gates (``circuit._apply``), the phase vector of
+    ``_flat_phases`` as a row scale, the post-gates; O(2^n k) each.
+    """
+    n = sched.n_qubits
+    if params.n_qubits != n:
+        raise ValueError("parameter set does not match schedule width")
+    t = np.asarray(u, dtype=complex).reshape((2,) * n + (-1,))
+    for seg in sched.segments:
+        for g in seg.pre:
+            t = ci._apply(t, ci.gate_matrix(g), g.qubits, 0)
+        t = _flat_phases(seg.schedule, params, lowering).reshape(t.shape[:-1] + (1,)) * t
+        for g in seg.post:
+            t = ci._apply(t, ci.gate_matrix(g), g.qubits, 0)
+    return t.reshape(2**n, -1)
+
+
 def verify_schedule(
     sched: PulseSchedule | ConjugatedSchedule,
     params: NmrParameters,
@@ -516,10 +543,10 @@ def verify_schedule(
 ) -> VerificationReport:
     """Reconstruct the scheduled unitary exactly and compare it to the target.
 
-    Each flat schedule is a phase vector (``_flat_phases``), and the target and
-    the conjugating gates act only on the qubits they touch, so both unitaries
-    are block diagonal over the configurations of the other qubits and no
-    2^n x 2^n matrix is built.  After ``phase_align`` (phase from the target's
+    Flat schedules are diagonal and the target and gates touch only the qubits
+    Q, so U is block diagonal over the other qubits: ``apply_schedule`` on one
+    2^n x 2^|Q| probe (the identity on Q for each configuration of the rest)
+    yields every block at once.  After ``phase_align`` (phase from the target's
     first largest entry, in block 0) the report carries the operator-norm
     error, the largest over the blocks, and |tr(U^dag V)| / 2^n.  A coefficient
     the supplied parameters realize differently from the descriptor's is noted.
@@ -528,29 +555,17 @@ def verify_schedule(
     n = sched.n_qubits
     ci.check_unitary_register(n)
     kind, sites, coeff = parse_descriptor(sched.target)
-    flat = isinstance(sched, PulseSchedule)
-    segments = (Segment((), sched, ()),) if flat else sched.segments
-    if params.n_qubits != n or any(s.schedule.n_qubits != n for s in segments):
-        raise ValueError("parameter set does not match schedule width")
-    touched = sorted(set(sites).union(*(g.qubits for s in segments for g in s.pre + s.post)))
+    touched = sorted(set(sites).union(*(g.qubits for s in sched.segments for g in s.pre + s.post)))
     if not 1 <= touched[0] <= touched[-1] <= n:
         raise ValueError(f"qubits {touched} outside register 1..{n}")
-    local = {q: i for i, q in enumerate(touched, 1)}
     m = len(touched)
-    order = [q - 1 for q in range(1, n + 1) if q not in local] + [q - 1 for q in touched]
-
-    def place(op: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-        return ci.embed(op, [local[q] for q in qubits], m)
-
-    u = np.eye(2**m, dtype=complex)
-    for seg in segments:
-        for g in seg.pre:
-            u = place(ci.gate_matrix(g), g.qubits) @ u
-        phases = _flat_phases(seg.schedule, params, lowering)
-        u = phases.reshape((2,) * n).transpose(order).reshape(-1, 2**m, 1) * u
-        for g in seg.post:
-            u = place(ci.gate_matrix(g), g.qubits) @ u
-    v = np.broadcast_to(place(matexp_hermitian(TERMS[kind], -1j * coeff), sites), u.shape)
+    order = [q - 1 for q in range(1, n + 1) if q not in touched] + [q - 1 for q in touched]
+    rows = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(-1, 2**m)
+    probe = np.zeros((2**n, 2**m), dtype=complex)
+    probe[rows, np.arange(2**m)] = 1.0
+    u = apply_schedule(sched, params, probe, lowering)[rows]
+    local = [touched.index(q) + 1 for q in sites]
+    v = np.broadcast_to(ci.embed(matexp_hermitian(TERMS[kind], -1j * coeff), local, m), u.shape)
     u = phase_align(u, v)
     err = float(np.linalg.norm(u - v, 2, axis=(1, 2)).max())
     fid = float(abs(np.vdot(u, v))) / 2**n
@@ -582,7 +597,13 @@ def _gate_to_dict(g: ci.Gate) -> dict:
     return d
 
 
-_JSON_TYPES = {"an integer": (int,), "a finite number": (int, float), "a string": (str,)}
+_JSON_TYPES = {
+    "an integer": (int,),
+    "a finite number": (int, float),
+    "a string": (str,),
+    "a list": (list,),
+    "an object": (dict,),
+}
 
 
 def _json(value, kind: str, where: str):
@@ -593,14 +614,34 @@ def _json(value, kind: str, where: str):
     return value
 
 
+def _json_object(doc, where: str, required: set, optional: set = frozenset()) -> None:
+    """Refuse all but a JSON object with every ``required`` key and others only from ``optional``."""
+    _json(doc, "an object", where)
+    missing, unknown = required - set(doc), set(doc) - required - optional
+    if missing:
+        raise ValueError(f"{where} is missing keys {sorted(missing)}")
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+
+
+def _json_list(values, where: str) -> list:
+    """(entry, its path) for each entry of the JSON list ``values``."""
+    return [(v, f"{where}[{i}]") for i, v in enumerate(_json(values, "a list", where))]
+
+
 def _json_ints(values, where: str) -> tuple[int, ...]:
-    return tuple(_json(q, "an integer", where) for q in values)
+    return tuple(_json(q, "an integer", at) for q, at in _json_list(values, where))
 
 
-def _gate_from_dict(d: dict) -> ci.Gate:
-    kind = _json(d["kind"], "a string", "gate kind")
-    angle = float(_json(d["angle"], "a finite number", "gate angle")) if "angle" in d else None
-    return ci.Gate(kind, _json_ints(d["qubits"], "gate qubit"), angle)
+def _gate_from_dict(d, where: str) -> ci.Gate:
+    _json_object(d, where, {"kind", "qubits"}, {"angle"})
+    kind = _json(d["kind"], "a string", f"{where}.kind")
+    angle = float(_json(d["angle"], "a finite number", f"{where}.angle")) if "angle" in d else None
+    return ci.Gate(kind, _json_ints(d["qubits"], f"{where}.qubits"), angle)
+
+
+def _gates_from_list(values, where: str) -> tuple[ci.Gate, ...]:
+    return tuple(_gate_from_dict(g, at) for g, at in _json_list(values, where))
 
 
 def _flat_dict(s: PulseSchedule) -> dict:
@@ -613,19 +654,19 @@ def _flat_dict(s: PulseSchedule) -> dict:
     }
 
 
-def _flat_from_dict(d: dict) -> PulseSchedule:
-    known = {"n_qubits", "interval_duration", "intervals", "pulse_layers", "target"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown schedule keys {sorted(unknown)}")
+def _flat_from_dict(d, where: str) -> PulseSchedule:
+    required = {"n_qubits", "interval_duration", "pulse_layers"}
+    _json_object(d, where, required, {"intervals", "target"})
+    layers = _json_list(d["pulse_layers"], f"{where}.pulse_layers")
     s = PulseSchedule(
-        _json(d["n_qubits"], "an integer", "n_qubits"),
-        float(_json(d["interval_duration"], "a finite number", "interval_duration")),
-        tuple(_json_ints(layer, "pulse layer entry") for layer in d["pulse_layers"]),
-        _json(d.get("target", ""), "a string", "target"),
+        _json(d["n_qubits"], "an integer", f"{where}.n_qubits"),
+        float(_json(d["interval_duration"], "a finite number", f"{where}.interval_duration")),
+        tuple(_json_ints(layer, at) for layer, at in layers),
+        _json(d.get("target", ""), "a string", f"{where}.target"),
     )
-    if "intervals" in d and _json(d["intervals"], "an integer", "intervals") != s.intervals:
-        raise ValueError("interval count does not match pulse layers")
+    intervals = d.get("intervals", s.intervals)
+    if _json(intervals, "an integer", f"{where}.intervals") != s.intervals:
+        raise ValueError(f"{where}.intervals does not match the pulse layers")
     return s
 
 
@@ -648,19 +689,17 @@ def schedule_to_json(sched: PulseSchedule | ConjugatedSchedule) -> str:
 
 
 def schedule_from_json(text: str) -> PulseSchedule | ConjugatedSchedule:
-    doc = json.loads(text)
+    """Parse a schedule document, naming the path of any missing, unknown or mistyped field."""
+    doc = _json(json.loads(text), "an object", "schedule")
     if "segments" not in doc:
-        return _flat_from_dict(doc)
-    unknown = set(doc) - {"n_qubits", "target", "segments"}
-    if unknown:
-        raise ValueError(f"unknown schedule keys {sorted(unknown)}")
-    segments = tuple(
-        Segment(
-            tuple(_gate_from_dict(g) for g in seg["pre"]),
-            _flat_from_dict(seg["schedule"]),
-            tuple(_gate_from_dict(g) for g in seg["post"]),
-        )
-        for seg in doc["segments"]
-    )
-    n = _json(doc["n_qubits"], "an integer", "n_qubits")
-    return ConjugatedSchedule(n, _json(doc["target"], "a string", "target"), segments)
+        return _flat_from_dict(doc, "schedule")
+    _json_object(doc, "schedule", {"n_qubits", "target", "segments"})
+    segments = []
+    for seg, at in _json_list(doc["segments"], "schedule.segments"):
+        _json_object(seg, at, {"pre", "schedule", "post"})
+        pre = _gates_from_list(seg["pre"], f"{at}.pre")
+        flat = _flat_from_dict(seg["schedule"], f"{at}.schedule")
+        segments.append(Segment(pre, flat, _gates_from_list(seg["post"], f"{at}.post")))
+    n = _json(doc["n_qubits"], "an integer", "schedule.n_qubits")
+    target = _json(doc["target"], "a string", "schedule.target")
+    return ConjugatedSchedule(n, target, tuple(segments))

@@ -14,9 +14,9 @@ Two evolution routes for the same model:
   prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one gate
   per local term of ``hamiltonians.fmo_terms`` in the gate program
   ``hamiltonians.trotter_program``, then the noise step e^{dt D}.  The step
-  unitary is that program's unitary, or (``compiled-pulses``) that of each
-  term's schedule from ``compiler.compile_target``.  Both routes hold dense
-  2^n x 2^n matrices, so both are capped at 10 sites.
+  unitary is that program's unitary, or (``compiled-pulses``) each term's
+  ``compiler.compile_target`` schedule applied by ``compiler.apply_schedule``.
+  Both routes hold dense 2^n x 2^n matrices, so both are capped at 10 sites.
 
 The dissipator D (the Gamma and gamma terms) is built once, by
 ``_dissipator``, as a decay mask plus per-site refill index vectors.  RK4
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as ci
-from .compiler import compile_target, schedule_program
+from .compiler import apply_schedule, compile_target
 from .hamiltonians import FmoParameters, build_fmo_h, fmo_terms, nmr_from_fmo, trotter_step
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
@@ -356,13 +356,15 @@ def _compiled_step_unitary(fmo: FmoParameters, dt: float) -> np.ndarray:
 
     On ``nmr_from_fmo`` a target compiled at tau = dt has coefficient dt c, the
     term's own c (0.5 dt omega_l = dt eps_l, dt J_l = dt 2 nu_{l,l+1}), so each
-    schedule realizes exactly that term's factor e^{-i dt c P}.
+    schedule realizes exactly that term's factor e^{-i dt c P}, applied to the
+    identity in order by ``apply_schedule``.
     """
+    ci.check_unitary_register(fmo.n_sites)
     nmr = nmr_from_fmo(fmo)
-    ins: list = []
+    u = np.eye(2**fmo.n_sites, dtype=complex)
     for kind, sites, _ in fmo_terms(fmo):
-        ins.extend(schedule_program(compile_target(kind, sites, dt, nmr), nmr).instructions)
-    return ci.unitary_of(ci.Program(fmo.n_sites, tuple(ins)))
+        u = apply_schedule(compile_target(kind, sites, dt, nmr), nmr, u)
+    return u
 
 
 def evolve_trotter_open(

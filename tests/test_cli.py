@@ -448,6 +448,9 @@ def test_compile_and_verify_keep_the_exit_contract(spec, tau, duration):
 # --- document front doors: schedule files and configs ---------------------------
 
 
+DELETE = object()  # a ``set_path`` value that deletes the field instead
+
+
 def set_path(doc, path, value):
     """A copy of ``doc`` with the value at ``path`` (keys and indices) replaced."""
     out = json.loads(json.dumps(doc))
@@ -456,7 +459,10 @@ def set_path(doc, path, value):
     cur = out
     for k in path[:-1]:
         cur = cur[k]
-    cur[path[-1]] = value
+    if value is DELETE:
+        del cur[path[-1]]
+    else:
+        cur[path[-1]] = value
     return out
 
 
@@ -495,6 +501,30 @@ QUBITS = ("segments", 0, "pre", 0, "qubits")
         ("z", ("interval_duration",), True),
         ("z", ("intervals",), 4.0),
         ("z", (), [1, 2]),
+        ("z", ("n_qubits",), DELETE),
+        ("z", ("pulse_layers",), DELETE),
+        ("xy", ("target",), DELETE),
+        ("xy", ("segments", 0, "schedule"), DELETE),
+        ("xy", ("segments", 0, "schedule", "interval_duration"), DELETE),
+        ("xy", ("segments", 0, "pre", 0, "kind"), DELETE),
+        ("xy", QUBITS, DELETE),
+        ("z", ("pulse_layers",), 5),
+        ("z", ("pulse_layers", 1), 5),
+        ("xy", ("segments",), 5),
+        ("xy", ("segments", 0), [1]),
+        ("xy", ("segments", 0, "pre"), 5),
+        ("xy", ("segments", 0, "post"), {}),
+        ("xy", ("segments", 0, "pre", 0), [1]),
+        ("xy", ("segments", 0, "schedule"), 5),
+        ("xy", QUBITS, 5),
+        ("z", (), "abc"),
+        ("z", (), None),
+        ("xy", (), 5),
+        ("z", ("extra",), 1),
+        ("xy", ("extra",), 1),
+        ("xy", ("segments", 0, "extra"), 1),
+        ("xy", ("segments", 0, "schedule", "extra"), 1),
+        ("xy", ("segments", 1, "pre", 0, "extra"), 1),
     ],
 )
 def test_schedule_fields_are_type_checked(tmp_path, name, path, value):
@@ -503,7 +533,10 @@ def test_schedule_fields_are_type_checked(tmp_path, name, path, value):
     code, out, err = run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG])
     assert code == 2 and out == ""
     [line] = err.splitlines()
-    assert line.startswith(f"error: cannot parse schedule {sched}: ")
+    prefix = f"error: cannot parse schedule {sched}: "
+    assert line.startswith(prefix)
+    field = next((k for k in reversed(path) if isinstance(k, str)), "schedule")
+    assert field in line[len(prefix):], line
 
 
 def test_schedule_register_size_allocates_nothing_before_the_cap(tmp_path):

@@ -18,6 +18,7 @@ from fmosim.compiler import (
     ConjugatedSchedule,
     PulseSchedule,
     Segment,
+    apply_schedule,
     check_decoupling_sign_matrix,
     check_recoupling_sign_matrix,
     compile_single_z,
@@ -366,6 +367,40 @@ def test_schedule_program_rejects_width_mismatch():
     sched = compile_single_z(1, 1.0, params7())
     with pytest.raises(ValueError):
         schedule_program(sched, NmrParameters(omega=np.ones(3), j=np.zeros(2)))
+
+
+def test_conjugated_schedule_rejects_a_segment_of_another_width():
+    seg = compile_xy((1, 2), 0.4, params7()).segments[0]
+    with pytest.raises(ValueError, match="segment width"):
+        ConjugatedSchedule(6, "xy:1,2 coeff=0.08", (seg,))
+
+
+# --- the shared reconstruction vs the dense circuit ---------------------------------
+
+
+def hand_conjugated(n, p):
+    """Conjugators on descending and non-adjacent qubits around zz and z segments."""
+    zz = compile_zz((1, 2), 0.37, p)
+    z = compile_single_z(n, 0.61, p)
+    first = Segment((ci.cnot(n, 1), ci.h(n)), zz, (ci.rx(0.3, 1), ci.cz(n, 1)))
+    second = Segment((ci.ry(-0.8, n), ci.cphase(0.5, 2, 1)), z, (ci.h(1),))
+    return ConjugatedSchedule(n, zz.target, (first, second))
+
+
+@pytest.mark.parametrize("lowering", ["opaque", "gates"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_apply_schedule_matches_the_dense_circuit(n, lowering):
+    rng = np.random.default_rng(60 + n)
+    p = NmrParameters(omega=rng.uniform(-2, 2, n), j=rng.uniform(-1, 1, n - 1))
+    scheds = [compile_single_z(l, 0.7316, p) for l in (1, n)]
+    scheds += [compile_zz((1, 2), 0.5, p), compile_xy((n - 1, n), 0.9, p), hand_conjugated(n, p)]
+    for sched in scheds:
+        k = int(rng.integers(1, 6))
+        u = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+        want = ci.unitary_of(schedule_program(sched, p, lowering)) @ u
+        got = apply_schedule(sched, p, u, lowering)
+        assert got.shape == (2**n, k)
+        assert np.abs(got - want).max() <= 1e-13, (sched.target, lowering)
 
 
 # --- lowering modes ------------------------------------------------------------

@@ -11,11 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fmosim import circuit as ci
 from fmosim.channels import (
     damping_basis_solution,
     dephasing_kraus_corrected,
     dissipation_kraus,
 )
+from fmosim.compiler import compile_target, schedule_program
 from fmosim.dynamics import (
     LindbladGenerator,
     NoiseParameters,
@@ -30,6 +32,8 @@ from fmosim.dynamics import (
 from fmosim.hamiltonians import (
     FmoParameters,
     build_fmo_h,
+    fmo_terms,
+    nmr_from_fmo,
     trotter_step,
 )
 from fmosim.qcore import SX, SY, SZ, matexp_hermitian, pauli_embed, trace_distance
@@ -461,6 +465,22 @@ def test_trotter_step_matches_dense_product_and_compiled_pulses(dt):
         fmo = chain_fmo(n, seed=n)
         compiled = _compiled_step_unitary(fmo, dt)
         assert np.abs(compiled - trotter_step(fmo, dt)).max() <= 1e-12
+
+
+def ir_replay_step_unitary(fmo, dt):
+    """Reference: every term's ``schedule_program`` in one circuit, through ``unitary_of``."""
+    nmr = nmr_from_fmo(fmo)
+    ins = []
+    for kind, sites, _ in fmo_terms(fmo):
+        ins.extend(schedule_program(compile_target(kind, sites, dt, nmr), nmr).instructions)
+    return ci.unitary_of(ci.Program(fmo.n_sites, tuple(ins)))
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.05])
+def test_compiled_step_matches_the_circuit_replay(dt):
+    fmo = chain_fmo(7, seed=17)
+    want = ir_replay_step_unitary(fmo, dt)
+    assert np.abs(_compiled_step_unitary(fmo, dt) - want).max() <= 1e-13
 
 
 # --- trajectory container -----------------------------------------------------------
