@@ -204,7 +204,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting raises RecursionError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return parse_config(doc)
 
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.schedule, encoding="utf-8") as fh:
             sched = schedule_from_json(fh.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse schedule {args.schedule}: {exc}") from None
     report = verify_schedule(sched, cfg.nmr, lowering=args.lowering)
     print(report.summary())
@@ -264,9 +264,12 @@ def cmd_evolve(args) -> int:
     if method == "exact":
         traj = exact
     elif method == "both":
+        # Both routes start from rho0, so they share its support.
+        if not np.array_equal(traj.support, exact.support):
+            raise ValueError("the digital and exact trajectories have different supports")
         extra = {
             "trace_distance": np.array(
-                [trace_distance(a, b) for a, b in zip(traj.states, exact.states)]
+                [trace_distance(a, b) for a, b in zip(traj.blocks, exact.blocks)]
             )
         }
     _write_or_print(traj.to_csv(extra_columns=extra), args.out or cfg.output.get("trajectory"))

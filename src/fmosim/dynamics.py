@@ -37,9 +37,11 @@ of such elements; the step unitary likewise has no entry between different
 excitation numbers (exactly zero for ``dense-blocks``, roundoff for
 ``compiled-pulses``), so its support block is the step.  For ``siteK`` the
 support is the n + 1 states with at most one excitation; a full-rank rho0
-has the full support of 2^n states, with the same code.  The support block
-is scattered back into a 2^n x 2^n array, zero off the support, only at the
-record points of the shared record loop (``_record``).
+has the full support of 2^n states, with the same code.  Recorded states
+stay on the support: the shared record loop (``_record``) keeps the m x m
+blocks, and ``Trajectory`` reads populations, trace, purity and the state
+JSON from them.  The state JSON keeps the full 2^n x 2^n layout byte for
+byte; ``Trajectory.states`` scatters the blocks into it on demand.
 
 Populations are excitation-basis: p_j = tr(rho n_j), so the all-ground state
 has p = 0 and dissipation drains p_j toward zero; 1 - sum_j p_j is the
@@ -51,6 +53,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,45 +209,84 @@ class LindbladGenerator:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded open-system evolution: times, states and the method tag."""
+    """Recorded open-system evolution, kept on the support rho lives on.
+
+    ``blocks[i]`` is the state at ``times[i]`` restricted to ``support``, the
+    sorted basis states of an ``n_sites``-qubit register; the state is zero
+    off the support.  Built positionally from full 2^n x 2^n states
+    (``support`` omitted), the support is the whole register.  Populations,
+    the CSV and the state JSON read the m x m blocks; ``states`` and
+    ``final_state`` scatter them into read-only 2^n x 2^n arrays on demand.
+    """
 
     times: tuple[float, ...]
-    states: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
     method: str
+    support: np.ndarray | None = None
+    n_sites: int | None = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.states) or not self.times:
+        if len(self.times) != len(self.blocks) or not self.times:
             raise ValueError("need one state per time point")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
+        if self.support is None:
+            dim = np.shape(self.blocks[0])[0]
+            n = dim.bit_length() - 1
+            if dim != 1 << n or self.n_sites not in (None, n):
+                raise ValueError("state dimension is not 2^n_sites")
+            support = np.arange(dim)
+        else:
+            n, support = self.n_sites, np.array(self.support, dtype=np.int64)
+            if (n is None or support.ndim != 1 or not len(support) or support[0] < 0
+                    or support[-1] >= 2**n or np.any(np.diff(support) <= 0)):
+                raise ValueError("support must be increasing basis states of the register")
+        m = len(support)
         tol = 1e-8 if self.method == "exact" else 1e-6
-        states = []
-        for t, s in zip(self.times, self.states):
-            s = np.asarray(s, dtype=complex)
+        blocks = []
+        for t, s in zip(self.times, self.blocks):
+            s = np.array(s, dtype=complex)
+            if s.shape != (m, m):
+                raise ValueError(f"state at t={t:g} is not {m} x {m}")
             tr = np.trace(s)
             if not (np.isfinite(s).all() and abs(tr.real - 1.0) <= tol and abs(tr.imag) <= tol):
                 raise ValueError(f"state at t={t:g} is not finite or has trace {tr:.8g}")
-            s = s.copy()
             s.setflags(write=False)
-            states.append(s)
-        object.__setattr__(self, "states", tuple(states))
+            blocks.append(s)
+        support.setflags(write=False)
+        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "n_sites", n)
 
-    @property
-    def n_sites(self) -> int:
-        return int(round(math.log2(self.states[0].shape[0])))
+    def _scatter(self, block: np.ndarray) -> np.ndarray:
+        """``block`` as a read-only 2^n x 2^n array, zero off the support."""
+        dim = 2**self.n_sites
+        if len(self.support) == dim:
+            return block
+        full = np.zeros((dim, dim), dtype=complex)
+        full[np.ix_(self.support, self.support)] = block
+        full.setflags(write=False)
+        return full
+
+    @cached_property
+    def states(self) -> tuple[np.ndarray, ...]:
+        """The recorded states as read-only 2^n x 2^n arrays, scattered on first access."""
+        return tuple(map(self._scatter, self.blocks))
+
+    def final_state(self) -> np.ndarray:
+        return self._scatter(self.blocks[-1])
 
     def populations(self) -> np.ndarray:
         """(len(times), n_sites) table of excited-state populations."""
-        return np.array([site_populations(s) for s in self.states])
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        occ = _occupations(self.support, self.n_sites)
+        return np.array([occ @ np.real(np.diagonal(s)) for s in self.blocks])
 
     def to_csv(self, extra_columns: dict[str, np.ndarray] | None = None) -> str:
         """Plot-ready table: t, per-site populations, loss, trace, purity.
 
-        Purity is tr(rho^2), computed for Hermitian rho as sum |rho_ab|^2.
+        Purity is tr(rho^2), computed for Hermitian rho as sum |rho_ab|^2;
+        trace and purity read the blocks, as rho is zero off the support.
         """
         extra = extra_columns or {}
         for name, col in extra.items():
@@ -255,7 +297,7 @@ class Trajectory:
         header += list(extra)
         lines = [",".join(header)]
         pops = self.populations()
-        for i, (t, s) in enumerate(zip(self.times, self.states)):
+        for i, (t, s) in enumerate(zip(self.times, self.blocks)):
             row = [f"{t:.12g}"]
             row += [f"{p:.12g}" for p in pops[i]]
             row.append(f"{1.0 - pops[i].sum():.12g}")
@@ -266,15 +308,35 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def to_state_json(self) -> str:
-        """Full-state dump: times plus row-major [re, im] entries per state."""
+        """Full-state dump: times plus row-major [re, im] entries of each 2^n x 2^n state.
+
+        The bytes are those of ``json.dumps`` on the full states.  On a
+        smaller support only the support rows are formatted: every other row
+        is one cached string of ``[0.0, 0.0]`` cells, and a support row puts
+        ``[re, im]`` cells, printed with ``repr`` as ``json.dumps`` prints a
+        float, at the support columns.
+        """
         import json
 
-        doc = {
-            "method": self.method,
-            "times": list(self.times),
-            "states": [np.stack([s.real, s.imag], -1).tolist() for s in self.states],
-        }
-        return json.dumps(doc) + "\n"
+        dim = 2**self.n_sites
+        if len(self.support) == dim:
+            states = [np.stack([s.real, s.imag], -1).tolist() for s in self.blocks]
+            doc = {"method": self.method, "times": list(self.times), "states": states}
+            return json.dumps(doc) + "\n"
+        zero_cells = ["[0.0, 0.0]"] * dim
+        zero_row = "[" + ", ".join(zero_cells) + "]"
+        support = self.support.tolist()
+        states = []
+        for s in self.blocks:
+            rows = [zero_row] * dim
+            for a, re_row, im_row in zip(support, s.real.tolist(), s.imag.tolist()):
+                cells = zero_cells.copy()
+                for b, re, im in zip(support, re_row, im_row):
+                    cells[b] = f"[{re!r}, {im!r}]"
+                rows[a] = "[" + ", ".join(cells) + "]"
+            states.append("[" + ", ".join(rows) + "]")
+        head = f'{{"method": {json.dumps(self.method)}, "times": {json.dumps(list(self.times))}'
+        return head + ', "states": [' + ", ".join(states) + "]}\n"
 
 
 def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
@@ -306,21 +368,21 @@ def _record(
 ) -> Trajectory:
     """Apply ``step`` to rho0's support block ``steps`` times.
 
-    Every record_every-th and the last state are scattered back into a
-    2^n x 2^n array (zero off the support) and kept.
+    Every record_every-th and the last block are kept as they are, on the
+    support; the Trajectory scatters them into 2^n x 2^n arrays only if its
+    ``states`` are read.
     """
-    cut = np.ix_(support, support)
-    rho, times, states = rho0[cut], [0.0], [rho0]
+    rho = rho0[np.ix_(support, support)]
+    times, blocks = [0.0], [rho]
     # A diverged run is reported by Trajectory's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             rho = step(rho)
             if k % record_every == 0 or k == steps:
-                full = np.zeros_like(rho0)
-                full[cut] = rho
                 times.append(k * h)
-                states.append(full)
-    return Trajectory(tuple(times), tuple(states), method)
+                blocks.append(rho)
+    n = rho0.shape[0].bit_length() - 1
+    return Trajectory(tuple(times), tuple(blocks), method, support, n)
 
 
 def integrate_exact(

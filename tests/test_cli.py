@@ -28,7 +28,9 @@ from fmosim.compiler import (
     schedule_from_json,
     schedule_to_json,
 )
+from fmosim.dynamics import Trajectory, evolve_trotter_open, initial_density, integrate_exact
 from fmosim.hamiltonians import NmrParameters
+from fmosim.qcore import trace_distance
 
 BASE = {
     "schema_version": 1,
@@ -244,6 +246,44 @@ def test_evolve_state_dump_and_config_output_paths(tmp_path):
     assert dumped["method"] == "exact"
     state0 = np.array([[a + 1j * b for a, b in row] for row in dumped["states"][0]])
     assert state0[int("100", 2), int("100", 2)] == 1.0
+
+
+def test_evolve_writes_from_the_blocks_without_full_states(tmp_path, monkeypatch):
+    """The CLI path scatters no recorded state; its both column is the full-state distance."""
+
+    def scatter(self, block):
+        raise AssertionError("a recorded state was scattered")
+
+    cfg = load_config(EXAMPLE_CONFIG)
+    rho0 = initial_density(cfg.initial_state, cfg.fmo.n_sites)
+    out, states = tmp_path / "t.csv", tmp_path / "s.json"
+    for lowering in ("dense-blocks", "compiled-pulses"):
+        argv = ["evolve", "--config", EXAMPLE_CONFIG, "--method", "both", "--lowering", lowering,
+                "--record-every", "10", "--out", str(out), "--states", str(states)]
+        with monkeypatch.context() as m:
+            m.setattr(Trajectory, "_scatter", scatter)
+            assert main(argv) == 0
+        assert len(json.loads(states.read_text())["states"]) == 6
+        # The trace_distance column equals the distance between the full states.
+        digital = evolve_trotter_open(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, lowering, 10)
+        exact = integrate_exact(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, 10)
+        want = [trace_distance(a, b) for a, b in zip(digital.states, exact.states)]
+        got = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-15)
+
+
+def test_evolve_both_refuses_routes_on_different_supports(tmp_path, monkeypatch, capsys):
+    real = cli.integrate_exact
+
+    def full_support(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        return Trajectory(traj.times, traj.states, traj.method)
+
+    monkeypatch.setattr(cli, "integrate_exact", full_support)
+    cfgp = write_config(tmp_path, deep(BASE, (("evolution", "method"), "both")))
+    assert main(["evolve", "--config", cfgp, "--out", str(tmp_path / "t.csv")]) == 2
+    assert "different supports" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_evolve_bad_initial_state(tmp_path, capsys):
@@ -571,6 +611,21 @@ def test_numeric_config_fields_are_type_checked(tmp_path, path, value, message):
     cfgp = write_config(tmp_path, deep(BASE, (path, value)))
     for argv in (["compile", "z:1", "--tau", "1", "--config", cfgp], ["evolve", "--config", cfgp]):
         assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_deeply_nested_json_keeps_the_exit_contract(tmp_path, command):
+    nested = tmp_path / "deep.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "evolve": ["evolve", "--config", str(nested)],
+        "verify": ["verify", str(nested), "--config", EXAMPLE_CONFIG],
+    }[command]
+    code, out, err = run_cli(argv)
+    assert_contract(code, out, err)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(nested) in err
 
 
 def test_config_nu_matrix_entries_are_numbers(tmp_path):

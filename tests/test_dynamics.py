@@ -558,6 +558,156 @@ def test_state_json_matches_nested_comprehension():
         assert text == json.dumps(want) + "\n"
 
 
+# --- block writers against the scattered full-layout writers they replaced -------------
+
+# (n, initial-state label): siteK, 2- and 3-excitation bitstrings, and the full register.
+SUPPORT_CASES = [
+    (3, "site2"),
+    (7, "site1"),
+    (7, "1100000"),
+    (7, "0101010"),
+    (3, "full"),
+]
+
+
+def case_state(n, label):
+    """rho0 of a SUPPORT_CASES entry; "full" is a full-rank state on the whole register."""
+    return random_density(n, seed=29) if label == "full" else initial_density(label, n)
+
+
+def scattered(traj):
+    """Each block of ``traj`` in a zeroed 2^n x 2^n array."""
+    dim = 2**traj.n_sites
+    out = []
+    for block in traj.blocks:
+        full = np.zeros((dim, dim), dtype=complex)
+        full[np.ix_(traj.support, traj.support)] = block
+        out.append(full)
+    return out
+
+
+def reference_state_json(traj):
+    """The full-layout writer: ``json.dumps`` of every scattered state's [re, im] lists."""
+    import json
+
+    states = [np.stack([s.real, s.imag], -1).tolist() for s in scattered(traj)]
+    return json.dumps({"method": traj.method, "times": list(traj.times), "states": states}) + "\n"
+
+
+def reference_csv(traj, extra):
+    """The full-layout CSV: populations, trace and purity of the scattered states."""
+    n = traj.n_sites
+    header = ["t"] + [f"p{j}" for j in range(1, n + 1)] + ["loss", "trace", "purity"] + list(extra)
+    lines = [",".join(header)]
+    for i, (t, s) in enumerate(zip(traj.times, scattered(traj))):
+        pops = site_populations(s)
+        row = [f"{t:.12g}"] + [f"{p:.12g}" for p in pops] + [f"{1.0 - pops.sum():.12g}"]
+        row += [f"{np.trace(s).real:.12g}", f"{np.vdot(s, s).real:.12g}"]
+        row += [f"{float(extra[name][i]):.12g}" for name in extra]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def signed_zero_block(m, rng):
+    """A random m x m density matrix with -0.0 in some real and imaginary parts."""
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    upper = np.triu(rng.random((m, m)) < 0.3, 1)
+    rho.real[upper | upper.T] = -0.0
+    upper = np.triu(rng.random((m, m)) < 0.3, 1)
+    rho.imag[upper] = -0.0
+    rho.imag[upper.T] = 0.0
+    return rho
+
+
+@pytest.mark.parametrize("n, label", SUPPORT_CASES)
+def test_block_writers_match_the_scattered_writers(n, label):
+    rng = np.random.default_rng(n * 31 + len(label))
+    support = _support(case_state(n, label), n)
+    blocks = [signed_zero_block(len(support), rng) for _ in range(3)]
+    traj = Trajectory((0.0, 0.25, 0.5), tuple(blocks), "exact", support, n)
+    extra = {"trace_distance": rng.random(3)}
+    text = traj.to_state_json()
+    assert "[-0.0, " in text and ", -0.0]" in text
+    assert text == reference_state_json(traj)
+    assert traj.to_csv(extra) == reference_csv(traj, extra)
+
+
+@pytest.mark.parametrize("n, label", SUPPORT_CASES)
+def test_recorded_blocks_match_the_scattered_writers(n, label):
+    fmo = chain_fmo(n, seed=23)
+    noise = NoiseParameters.uniform(n, 0.05, 0.05)
+    rho0 = case_state(n, label)
+    exact = integrate_exact(rho0, fmo, noise, 0.3, 0.02, record_every=4)
+    for lowering in ("dense-blocks", "compiled-pulses"):
+        digital = evolve_trotter_open(rho0, fmo, noise, 0.3, 0.02, lowering, record_every=4)
+        assert np.array_equal(digital.support, exact.support)
+        block_td = [trace_distance(a, b) for a, b in zip(digital.blocks, exact.blocks)]
+        full_td = [trace_distance(a, b) for a, b in zip(scattered(digital), scattered(exact))]
+        assert np.abs(np.array(block_td) - full_td).max() <= 1e-15
+        extra = {"trace_distance": np.array(block_td)}
+        assert digital.to_csv(extra) == reference_csv(digital, extra)
+        assert digital.to_state_json() == reference_state_json(digital)
+    assert len(exact.times) == 5
+    assert exact.to_csv() == reference_csv(exact, {})
+    assert exact.to_state_json() == reference_state_json(exact)
+
+
+def test_states_scatter_on_first_access_only():
+    n, support = 3, np.array([0, 1, 2, 4])
+    block = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    block[0, 3] = block[3, 0] = 0.125
+    traj = Trajectory((0.0, 1.0), (block, block), "exact", support, n)
+    assert "states" not in vars(traj)
+    final = traj.final_state()
+    assert "states" not in vars(traj)
+    states = traj.states
+    assert traj.states is states
+    for full in (*states, final):
+        assert full.shape == (8, 8) and not full.flags.writeable
+        assert np.array_equal(full[np.ix_(support, support)], block)
+        assert np.count_nonzero(full) == np.count_nonzero(block)
+    assert np.allclose(traj.populations(), [site_populations(s) for s in states])
+
+
+def test_trajectory_support_validation():
+    block = np.eye(2, dtype=complex) / 2
+    for support, n in (([0, 1], None), ([1, 0], 2), ([0, 4], 2), ([-1, 0], 2), ([], 2)):
+        with pytest.raises(ValueError):
+            Trajectory((0.0,), (block,), "exact", np.array(support, dtype=int), n)
+    with pytest.raises(ValueError):
+        Trajectory((0.0,), (block,), "exact", np.array([0, 1, 2]), 2)  # block is 2 x 2
+    with pytest.raises(ValueError):
+        Trajectory((0.0,), (np.eye(3) / 3,), "exact")  # not 2^n
+    with pytest.raises(ValueError):
+        Trajectory((0.0,), (block,), "exact", None, 3)  # n disagrees with the state
+
+
+def test_negative_zeros_off_the_support_print_as_positive_zeros():
+    """A rho0 with -0.0 off its support prints 0.0 there in state 0.
+
+    The support drops those entries, so the recorded state 0 is zero off the
+    support like every later state; a full-layout dump of rho0 itself would
+    have printed -0.0.
+    """
+    import json
+
+    n = 3
+    rho0 = initial_density("site1", n)
+    rho0[7, 7] = -0.0
+    rho0[3, 5] = complex(-0.0, -0.0)
+    rho0[5, 3] = complex(0.0, -0.0)
+    traj = integrate_exact(rho0, chain_fmo(n), NoiseParameters.uniform(n, 0.1, 0.0), 0.1, 0.05)
+    assert list(traj.support) == [0, 1, 2, 4]
+    state0 = json.loads(traj.to_state_json())["states"][0]
+    for a, b in ((7, 7), (3, 5), (5, 3)):
+        assert [math.copysign(1.0, x) for x in state0[a][b]] == [1.0, 1.0]
+        z = traj.states[0][a, b]
+        assert math.copysign(1.0, z.real) == math.copysign(1.0, z.imag) == 1.0
+    assert state0[4][4] == [1.0, 0.0]
+
+
 # --- support stepping against the full-space stepper it replaced ----------------------
 
 
