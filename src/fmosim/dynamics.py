@@ -262,8 +262,6 @@ class Trajectory:
     def _scatter(self, block: np.ndarray) -> np.ndarray:
         """``block`` as a read-only 2^n x 2^n array, zero off the support."""
         dim = 2**self.n_sites
-        if len(self.support) == dim:
-            return block
         full = np.zeros((dim, dim), dtype=complex)
         full[np.ix_(self.support, self.support)] = block
         full.setflags(write=False)
@@ -310,19 +308,15 @@ class Trajectory:
     def to_state_json(self) -> str:
         """Full-state dump: times plus row-major [re, im] entries of each 2^n x 2^n state.
 
-        The bytes are those of ``json.dumps`` on the full states.  On a
-        smaller support only the support rows are formatted: every other row
-        is one cached string of ``[0.0, 0.0]`` cells, and a support row puts
-        ``[re, im]`` cells, printed with ``repr`` as ``json.dumps`` prints a
-        float, at the support columns.
+        The bytes are those of ``json.dumps`` on the full states.  Only the
+        support rows are formatted: every other row is one cached string of
+        ``[0.0, 0.0]`` cells, and a support row puts ``[re, im]`` cells,
+        printed with ``repr`` as ``json.dumps`` prints a float, at the
+        support columns.
         """
         import json
 
         dim = 2**self.n_sites
-        if len(self.support) == dim:
-            states = [np.stack([s.real, s.imag], -1).tolist() for s in self.blocks]
-            doc = {"method": self.method, "times": list(self.times), "states": states}
-            return json.dumps(doc) + "\n"
         zero_cells = ["[0.0, 0.0]"] * dim
         zero_row = "[" + ", ".join(zero_cells) + "]"
         support = self.support.tolist()

@@ -5,6 +5,7 @@ right-hand side assembled from explicitly embedded operators; trajectories
 are checked against dense matrix exponentials and single-site closed forms.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -669,6 +670,17 @@ def test_states_scatter_on_first_access_only():
         assert np.array_equal(full[np.ix_(support, support)], block)
         assert np.count_nonzero(full) == np.count_nonzero(block)
     assert np.allclose(traj.populations(), [site_populations(s) for s in states])
+
+
+def test_trajectory_keywords_name_blocks_not_states():
+    """The second field is ``blocks``; the ``states=`` keyword is gone."""
+    rho = np.eye(2, dtype=complex) / 2
+    traj = Trajectory(times=(0.0,), blocks=(rho,), method="exact")
+    assert np.array_equal(traj.states[0], rho) and list(traj.support) == [0, 1]
+    with pytest.raises(TypeError):
+        Trajectory(times=(0.0,), states=(rho,), method="exact")
+    moved = dataclasses.replace(traj, times=(1.0,))
+    assert moved.times == (1.0,) and np.array_equal(moved.blocks[0], rho)
 
 
 def test_trajectory_support_validation():
