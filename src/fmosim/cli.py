@@ -13,6 +13,9 @@ Subcommands:
 * ``channel``: print the report (and circuit, when realizable) of a noise
   channel.
 
+``parse_config`` checks a run configuration with the schedule reader's field
+checker, so a schema error of either document is a ``compiler.ConfigError``.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 verification
 failure.  All commands are deterministic given their inputs.
 """
@@ -35,6 +38,9 @@ from .channels import (
     dissipation_kraus,
 )
 from .compiler import (
+    ConfigError,
+    _json,
+    _json_object,
     compile_target,
     parse_target,
     schedule_from_json,
@@ -57,10 +63,6 @@ VERIFY_FAILURE = 3
 USAGE_ERROR = 2
 
 
-class ConfigError(ValueError):
-    """Configuration file violates the schema."""
-
-
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run configuration binding model, noise and run controls."""
@@ -75,43 +77,27 @@ class RunConfig:
     output: dict
 
 
+def _vector(doc, where: str, shape=(None,), what="a flat list of finite numbers") -> np.ndarray:
+    """``doc`` as a float array of ``shape`` (None: any length): nested lists of finite numbers."""
 
-def _require_keys(doc: dict, where: str, required: set, optional: set = frozenset()):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object")
-    missing = required - set(doc)
-    unknown = set(doc) - required - optional
-    if missing:
-        raise ConfigError(f"{where} is missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
+    def entries(value, shape):
+        values = _json(value, "a list", where)
+        if shape[0] not in (None, len(values)):
+            raise ConfigError
+        if shape[1:]:
+            return [entries(v, shape[1:]) for v in values]
+        return [_json(v, "a finite number", where) for v in values]
 
-
-def _finite(value) -> bool:
-    """An int or a float (not a boolean or a numeric string) that is finite."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _number(value, where: str) -> float:
-    if not _finite(value):
-        raise ConfigError(f"{where} must be a finite number")
-    return float(value)
-
-
-def _vector(doc, where: str) -> np.ndarray:
-    if not isinstance(doc, list) or not all(map(_finite, doc)):
-        raise ConfigError(f"{where} must be a flat list of finite numbers")
-    return np.array(doc, dtype=float)
+    try:
+        return np.array(entries(doc, shape), dtype=float)
+    except ConfigError:
+        raise ConfigError(f"{where} must be {what}") from None
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document (rejecting unknown keys)."""
-    _require_keys(
-        doc,
-        "config",
-        {"schema_version", "fmo", "noise", "evolution"},
-        {"nmr", "output"},
-    )
+    required = {"schema_version", "fmo", "noise", "evolution"}
+    _json_object(doc, "config", required, {"nmr", "output"})
     if type(doc["schema_version"]) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc['schema_version']!r} "
@@ -119,18 +105,13 @@ def parse_config(doc: dict) -> RunConfig:
         )
 
     fdoc = doc["fmo"]
-    _require_keys(fdoc, "config.fmo", {"epsilon"}, {"nu", "nu_bonds"})
+    _json_object(fdoc, "config.fmo", {"epsilon"}, {"nu", "nu_bonds"})
     epsilon = _vector(fdoc["epsilon"], "config.fmo.epsilon")
     n = epsilon.shape[0]
     if ("nu" in fdoc) == ("nu_bonds" in fdoc):
         raise ConfigError("config.fmo needs exactly one of 'nu' or 'nu_bonds'")
     if "nu" in fdoc:
-        rows = fdoc["nu"]
-        if not isinstance(rows, list) or len(rows) != n or any(
-            not isinstance(r, list) or len(r) != n or not all(map(_finite, r)) for r in rows
-        ):
-            raise ConfigError("config.fmo.nu must be a finite n-by-n matrix")
-        nu = np.array(rows, dtype=float)
+        nu = _vector(fdoc["nu"], "config.fmo.nu", (n, n), "a finite n-by-n matrix")
     else:
         bonds = _vector(fdoc["nu_bonds"], "config.fmo.nu_bonds")
         if bonds.shape[0] != n - 1:
@@ -144,7 +125,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config.fmo: {exc}") from None
 
     ndoc = doc["noise"]
-    _require_keys(ndoc, "config.noise", {"dissipation", "dephasing"})
+    _json_object(ndoc, "config.noise", {"dissipation", "dephasing"})
     try:
         noise = NoiseParameters(
             _vector(ndoc["dissipation"], "config.noise.dissipation"),
@@ -157,7 +138,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     if "nmr" in doc:
         mdoc = doc["nmr"]
-        _require_keys(mdoc, "config.nmr", {"omega", "j"})
+        _json_object(mdoc, "config.nmr", {"omega", "j"})
         try:
             nmr = NmrParameters(
                 omega=_vector(mdoc["omega"], "config.nmr.omega"),
@@ -176,9 +157,9 @@ def parse_config(doc: dict) -> RunConfig:
             ) from None
 
     edoc = doc["evolution"]
-    _require_keys(edoc, "config.evolution", {"t_max", "dt", "method", "initial_state"})
-    t_max = _number(edoc["t_max"], "config.evolution.t_max")
-    dt = _number(edoc["dt"], "config.evolution.dt")
+    _json_object(edoc, "config.evolution", {"t_max", "dt", "method", "initial_state"})
+    t_max = float(_json(edoc["t_max"], "a finite number", "config.evolution.t_max"))
+    dt = float(_json(edoc["dt"], "a finite number", "config.evolution.dt"))
     if t_max < 0:
         raise ConfigError("config.evolution.t_max must be finite and nonnegative")
     if dt <= 0:
@@ -186,14 +167,12 @@ def parse_config(doc: dict) -> RunConfig:
     method = edoc["method"]
     if method not in ("exact", "trotter", "both"):
         raise ConfigError("config.evolution.method must be exact, trotter or both")
-    initial_state = str(edoc["initial_state"])
+    initial_state = _json(edoc["initial_state"], "a string", "config.evolution.initial_state")
 
     output = doc.get("output", {})
-    _require_keys(
-        output, "config.output", set(), {"trajectory", "states", "schedule", "circuit"}
-    )
-    if any(not isinstance(v, str) for v in output.values()):
-        raise ConfigError("config.output values must be path strings")
+    _json_object(output, "config.output", set(), {"trajectory", "states", "schedule", "circuit"})
+    for key, path in output.items():
+        _json(path, "a string", f"config.output.{key}")
 
     return RunConfig(fmo, noise, nmr, t_max, dt, method, initial_state, dict(output))
 
@@ -204,7 +183,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting raises RecursionError
+    except (ValueError, RecursionError) as exc:  # not UTF-8, bad syntax, or deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return parse_config(doc)
 

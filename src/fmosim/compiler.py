@@ -39,6 +39,10 @@ Targets are the term kinds of ``hamiltonians.TERMS``: ``parse_target`` reads
 ``apply_schedule`` is the one exact reconstruction of a schedule's unitary,
 segment by segment, each flat schedule as its phase vector; the
 ``compiled-pulses`` step and ``verify_schedule`` both apply it.
+
+``_json`` and ``_json_object`` check every input document, schedules here and
+run configurations in ``cli.parse_config``; a schema error names the field's
+path and is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ __all__ = [
     "verify_schedule",
     "schedule_to_json",
     "schedule_from_json",
+    "ConfigError",
 ]
 
 
@@ -606,11 +611,15 @@ _JSON_TYPES = {
 }
 
 
+class ConfigError(ValueError):
+    """An input document, a run configuration or a schedule, violates its schema."""
+
+
 def _json(value, kind: str, where: str):
     """``value`` if it is JSON ``kind``, a key of ``_JSON_TYPES`` (never a boolean)."""
     types = _JSON_TYPES[kind]
     if type(value) not in types or float in types and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{where} must be {kind}")
+        raise ConfigError(f"{where} must be {kind}")
     return value
 
 
@@ -619,9 +628,9 @@ def _json_object(doc, where: str, required: set, optional: set = frozenset()) ->
     _json(doc, "an object", where)
     missing, unknown = required - set(doc), set(doc) - required - optional
     if missing:
-        raise ValueError(f"{where} is missing keys {sorted(missing)}")
+        raise ConfigError(f"{where} is missing keys {sorted(missing)}")
     if unknown:
-        raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
 
 
 def _json_list(values, where: str) -> list:
@@ -666,7 +675,7 @@ def _flat_from_dict(d, where: str) -> PulseSchedule:
     )
     intervals = d.get("intervals", s.intervals)
     if _json(intervals, "an integer", f"{where}.intervals") != s.intervals:
-        raise ValueError(f"{where}.intervals does not match the pulse layers")
+        raise ConfigError(f"{where}.intervals does not match the pulse layers")
     return s
 
 

@@ -122,17 +122,17 @@ def site_populations(rho: np.ndarray) -> np.ndarray:
 def initial_density(label: str, n: int) -> np.ndarray:
     """Pure computational state from a label.
 
-    ``siteK`` puts the single excitation on site K, ``ground`` is all zeros,
-    and a literal bitstring such as ``0100000`` selects that basis state.
-    The dense state caps n at 10 sites.
+    ``siteK`` puts the single excitation on site K, a run of ASCII digits,
+    ``ground`` is all zeros, and a literal bitstring such as ``0100000``
+    selects that basis state.  The dense state caps n at 10 sites.
     """
     ci.check_unitary_register(n)
     if label == "ground":
         bits = "0" * n
     elif label.startswith("site"):
-        k = int(label[4:])
+        k = int(label[4:]) if label[4:].isascii() and label[4:].isdigit() else 0
         if not 1 <= k <= n:
-            raise ValueError(f"site index {k} outside 1..{n}")
+            raise ValueError(f"{label!r} names no site in 1..{n}")
         bits = "".join("1" if j == k else "0" for j in range(1, n + 1))
     else:
         bits = label

@@ -63,11 +63,13 @@ class FmoParameters:
     def __post_init__(self):
         eps = np.array(self.epsilon, dtype=float)
         nu = np.array(self.nu, dtype=float)
-        n = eps.shape[0]
-        if eps.ndim != 1 or n < 1:
+        if eps.ndim != 1 or eps.shape[0] < 1:
             raise ValueError("epsilon must be a non-empty 1-d array")
+        n = eps.shape[0]
         if nu.shape != (n, n):
             raise ValueError(f"nu must be {n}x{n}")
+        if not (np.isfinite(eps).all() and np.isfinite(nu).all()):
+            raise ValueError("epsilon and nu must be finite")
         if np.max(np.abs(nu - nu.T)) > 1e-12:
             raise ValueError("nu must be symmetric")
         if np.max(np.abs(np.diag(nu))) > 0:

@@ -292,6 +292,17 @@ def test_evolve_bad_initial_state(tmp_path, capsys):
     assert "initial_state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["site+1", "site 1", "site\u0661", "site0_1", "site1_0", "site"])
+def test_evolve_site_index_is_a_run_of_ascii_digits(tmp_path, label):
+    cfgp = write_config(tmp_path, deep(BASE, (("evolution", "initial_state"), label)))
+    code, out, err = run_cli(["evolve", "--config", cfgp])
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: config.evolution.initial_state") and repr(label) in line
+    cfgp = write_config(tmp_path, deep(BASE, (("evolution", "initial_state"), "site3")))
+    assert run_cli(["evolve", "--config", cfgp])[0] == 0
+
+
 def test_evolve_compiled_lowering(tmp_path):
     doc = deep(BASE, (("evolution", "method"), "trotter"), (("evolution", "t_max"), 0.1))
     cfgp = write_config(tmp_path, doc)
@@ -605,6 +616,8 @@ def test_schedule_register_size_allocates_nothing_before_the_cap(tmp_path):
         (("fmo", "epsilon"), ["1"] * 3, "config.fmo.epsilon must be a flat list of finite numbers"),
         (("fmo", "nu_bonds"), [0.1, 10**400], "config.fmo.nu_bonds must be a flat list of finite numbers"),
         (("schema_version",), True, "unsupported schema_version True (this build reads version 1)"),
+        (("evolution", "initial_state"), 1000000, "config.evolution.initial_state must be a string"),
+        (("output", "trajectory"), 7, "config.output.trajectory must be a string"),
     ],
 )
 def test_numeric_config_fields_are_type_checked(tmp_path, path, value, message):
@@ -626,6 +639,28 @@ def test_deeply_nested_json_keeps_the_exit_contract(tmp_path, command):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(nested) in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_undecodable_json_names_its_path(tmp_path, command):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff{}")
+    argv = {
+        "evolve": ["evolve", "--config", str(binary)],
+        "verify": ["verify", str(binary), "--config", EXAMPLE_CONFIG],
+    }[command]
+    code, out, err = run_cli(argv)
+    assert_contract(code, out, err)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(binary) in err
+
+
+def test_configs_and_schedules_share_one_error_type():
+    assert cli.ConfigError is fmosim.compiler.ConfigError
+    doc = set_path(example_schedules()["z"], ("n_qubits",), "7")
+    with pytest.raises(ConfigError, match="schedule.n_qubits must be an integer"):
+        schedule_from_json(json.dumps(doc))
 
 
 def test_config_nu_matrix_entries_are_numbers(tmp_path):

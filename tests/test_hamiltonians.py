@@ -40,6 +40,21 @@ class TestParameters:
         with pytest.raises(ValueError, match="diagonal"):
             FmoParameters(np.ones(2), np.array([[0.1, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["epsilon", "nu"])
+    def test_fmo_fields_must_be_finite(self, field, bad):
+        eps, nu = np.ones(2), np.array([[0.0, 0.1], [0.1, 0.0]])
+        if field == "epsilon":
+            eps[1] = bad
+        else:
+            nu[0, 1] = nu[1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            FmoParameters(eps, nu)
+
+    def test_epsilon_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="1-d"):
+            FmoParameters(1.0, np.zeros((1, 1)))
+
     def test_nmr_bond_count(self):
         with pytest.raises(ValueError):
             NmrParameters(np.ones(7), np.ones(7))
