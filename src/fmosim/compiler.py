@@ -9,15 +9,17 @@ Because all interval Hamiltonians commute, the net evolution is
     exp(-i * Delta * [ sum_l (omega_l/2) (sum_k S[l,k]) Z_l
                      + sum_l J_l (sum_k S[l,k] S[l+1,k]) Z_l Z_{l+1} ])
 
-with Delta the interval duration.  Decoupling keeps one row unbalanced (the
-target's, all +1) and cancels everything else; recoupling gives a pair of
-adjacent qubits equal rows so only their ZZ coupling survives.  Sign matrices
-are synthesized from Sylvester Hadamard matrices, whose rows are mutually
-orthogonal and (beyond the first) balanced.
+with Delta the interval duration.  One rule decides every schedule (Leung et
+al., PRA 61, 042310 (2000)): with m intervals, S keeps Z_l when row l sums to m
+and Z_l Z_{l+1} when rows l and l+1 have product m; every other row sum and
+neighbour-row product is 0.  ``_sign_sums`` computes these sums,
+``check_sign_matrix`` compares them with a target and ``effective_coefficients``
+scales them into the exponent.
 
-Compiled artifacts also come in a compact four-interval form, built from a
-parity assignment of the +/- pattern instead of full Hadamard rows.  It
-realizes the same targets with two alternating pulse layers:
+The paper's construction takes rows of a Sylvester Hadamard matrix (mutually
+orthogonal, balanced beyond row 0): the kept qubits share row 0 (Z_l) or row 1
+(Z_l Z_{l+1}), every other qubit the next row in order.  ``compile`` emits the
+compact four-interval form, columns (a, a*b, b, 1), two alternating layers:
 
     z  target:  [U X_{all but l} U X_{same parity as l}]^2
     zz target:  [U X_{all} U X_a]^2,  a alternating except equal on the pair
@@ -63,8 +65,7 @@ __all__ = [
     "hadamard_matrix",
     "decoupling_sign_matrix",
     "recoupling_sign_matrix",
-    "check_decoupling_sign_matrix",
-    "check_recoupling_sign_matrix",
+    "check_sign_matrix",
     "effective_coefficients",
     "PulseSchedule",
     "Segment",
@@ -98,91 +99,66 @@ def hadamard_matrix(k: int) -> np.ndarray:
     return h
 
 
-def _hadamard_for(n: int) -> np.ndarray:
+def _hadamard_rows(n: int, kept: tuple[int, ...], row: int) -> np.ndarray:
+    """Sign matrix giving the ``kept`` qubits Hadamard row ``row`` and every
+    other qubit the next row after it, in ascending qubit order."""
     if n > 8:
         raise ValueError("sign matrices support at most 8 qubits")
-    k = max(0, math.ceil(math.log2(n)))
-    return hadamard_matrix(k)
+    h = hadamard_matrix(max(0, math.ceil(math.log2(n))))
+    rest = iter(h[row + 1 :])
+    return np.array([h[row] if q in kept else next(rest) for q in range(1, n + 1)])
 
 
 def decoupling_sign_matrix(n: int, target: int) -> np.ndarray:
     """Sign matrix decoupling everything except the Z term of ``target``.
 
-    Row ``target`` is the all-+1 Hadamard row; the other qubits take the
-    remaining rows in ascending order (for target = 1 this is simply the
-    Hadamard matrix with its last rows dropped).
+    Row ``target`` is the all-+1 Hadamard row 0; the other qubits take rows
+    1, 2, ... (for target = 1 the Hadamard matrix with its last rows dropped).
     """
     if not 1 <= target <= n:
         raise ValueError(f"target {target} outside 1..{n}")
-    h = _hadamard_for(n)
-    # insert the all-+ row at position target, shift earlier rows down by one
-    rows = []
-    for q in range(1, n + 1):
-        if q == target:
-            rows.append(h[0])
-        elif q < target:
-            rows.append(h[q])
-        else:
-            rows.append(h[q - 1])
-    return np.array(rows, dtype=int)
+    return _hadamard_rows(n, (target,), 0)
 
 
 def recoupling_sign_matrix(n: int, pair: tuple[int, int]) -> np.ndarray:
-    """Sign matrix keeping only the ZZ coupling of ``pair`` (rows equal).
-
-    The pair shares the second Hadamard row; every other qubit takes one of
-    the remaining balanced rows in ascending order.
-    """
+    """Sign matrix keeping only the ZZ coupling of ``pair``: both take the
+    balanced Hadamard row 1, the other qubits rows 2, 3, ..."""
     i, j = pair
     if not 1 <= i < j <= n:
         raise ValueError(f"bad pair {pair} for {n} qubits")
-    h = _hadamard_for(n)
-    rows = []
-    nxt = 2  # next unused 0-based Hadamard row
-    for q in range(1, n + 1):
-        if q in (i, j):
-            rows.append(h[1])
-        else:
-            rows.append(h[nxt])
-            nxt += 1
-    return np.array(rows, dtype=int)
+    return _hadamard_rows(n, pair, 1)
 
 
-def _check_signs(s: np.ndarray) -> np.ndarray:
+def _sign_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and neighbour-row products of the 2-d +-1 matrix ``s``."""
     s = np.asarray(s)
     if s.ndim != 2 or not np.all(np.abs(s) == 1):
         raise ValueError("sign matrix must be 2-d with entries +-1")
-    return s.astype(int)
+    s = s.astype(int)
+    return s.sum(axis=1), np.einsum("ik,ik->i", s[:-1], s[1:])
 
 
-def check_decoupling_sign_matrix(s: np.ndarray, target: int) -> None:
-    """Raise unless s decouples everything but the target's Z term."""
-    s = _check_signs(s)
-    n = s.shape[0]
-    if not np.all(s[target - 1] == 1):
-        raise ValueError("target row must be all +1")
-    for q in range(n):
-        if q != target - 1 and s[q].sum() != 0:
-            raise ValueError(f"row {q + 1} is not balanced")
-    for q in range(n - 1):
-        if int(s[q] @ s[q + 1]) != 0:
-            raise ValueError(f"rows {q + 1},{q + 2} are not orthogonal")
+def check_sign_matrix(s: np.ndarray, kind: str, sites: tuple[int, ...]) -> None:
+    """Raise unless the sign matrix ``s`` keeps exactly the term ``kind:sites``.
 
-
-def check_recoupling_sign_matrix(s: np.ndarray, pair: tuple[int, int]) -> None:
-    """Raise unless s recouples exactly the ZZ term of ``pair``."""
-    s = _check_signs(s)
+    With m intervals, ``z:l`` needs row l to sum to m (all +1) and ``zz:i,j``
+    needs rows i and j to have product m (equal); every other row sum and
+    neighbour-row product must be 0.
+    """
+    rows, pairs = _sign_sums(s)
+    s = np.asarray(s)
     n, m = s.shape
-    i, j = pair
-    if np.any(s.sum(axis=1) != 0):
-        raise ValueError("all rows must be balanced")
-    if not np.all(s[i - 1] == s[j - 1]):
+    if {"z": 1, "zz": 2}.get(kind) != len(sites) or not 1 <= min(sites) <= max(sites) <= n:
+        raise ValueError(f"no sign matrix rule for {kind}:{sites} on {n} qubits")
+    kept = sites if kind == "z" else ()
+    for q, total in enumerate(rows.tolist(), 1):
+        if total != (m if q in kept else 0):
+            raise ValueError(f"row {q} must be all +1" if q in kept else f"row {q} is not balanced")
+    if kind == "zz" and int(s[sites[0] - 1] @ s[sites[1] - 1]) != m:
         raise ValueError("pair rows must be equal")
-    for q in range(n - 1):
-        if (q + 1, q + 2) == (i, j):
-            continue
-        if int(s[q] @ s[q + 1]) != 0:
-            raise ValueError(f"rows {q + 1},{q + 2} are not orthogonal")
+    for q, product in enumerate(pairs.tolist(), 1):
+        if product != 0 and (kind, tuple(sites)) != ("zz", (q, q + 1)):
+            raise ValueError(f"rows {q},{q + 1} are not orthogonal")
 
 
 def effective_coefficients(
@@ -192,12 +168,10 @@ def effective_coefficients(
 
     Returns (z, zz) with z[l] the coefficient of Z_{l+1} and zz[l] the
     coefficient of Z_{l+1} Z_{l+2} in the exponent -i * (...) of the
-    scheduled evolution.
+    scheduled evolution: the sums of ``_sign_sums`` scaled by omega/2 delta and J delta.
     """
-    s = _check_signs(s)
-    z = 0.5 * params.omega * interval_duration * s.sum(axis=1)
-    zz = params.j * interval_duration * np.einsum("ik,ik->i", s[:-1], s[1:])
-    return z, zz
+    rows, pairs = _sign_sums(s)
+    return 0.5 * params.omega * interval_duration * rows, params.j * interval_duration * pairs
 
 
 @dataclass(frozen=True)
@@ -283,8 +257,8 @@ def schedule_from_sign_matrix(
     target_time / m, so columns are never merged; an empty internal layer
     (identical adjacent columns) is simply a no-op boundary.
     """
-    s = _check_signs(s)
-    n, m = s.shape
+    _sign_sums(s)  # raises unless s is a 2-d +-1 matrix
+    n, m = np.shape(s)
     padded = np.hstack([np.ones((n, 1), dtype=int), s, np.ones((n, 1), dtype=int)])
     layers = tuple(
         tuple(int(q + 1) for q in np.nonzero(padded[:, k] != padded[:, k + 1])[0])
@@ -298,15 +272,22 @@ def _descriptor(kind: str, sites: tuple[int, ...], tau: float, params: NmrParame
     return f"{kind}:{','.join(str(q) for q in sites)} coeff={coeff:.17g}"
 
 
+def _site_number(text: str) -> int | None:
+    """The number a run of ASCII digits names, else None (also for a run ``int()`` refuses)."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than the interpreter converts
+        return None
+
+
 def parse_target(spec: str) -> tuple[str, tuple[int, ...]]:
     """Split a target 'kind:sites' into a ``TERMS`` kind and its 1-based sites.
 
-    Sites are comma-separated runs of ASCII digits, the form ``_descriptor`` writes.
+    Sites are comma-separated ``_site_number`` runs, the form ``_descriptor`` writes.
     """
     kind, _, sites_s = spec.partition(":")
-    parts = sites_s.split(",")
-    sites = tuple(map(int, parts)) if all(t.isascii() and t.isdigit() for t in parts) else ()
-    if kind not in TERMS or len(TERMS[kind]) != 2 ** len(sites):
+    sites = tuple(map(_site_number, sites_s.split(",")))
+    if kind not in TERMS or None in sites or len(TERMS[kind]) != 2 ** len(sites):
         raise ValueError(
             f"malformed target {spec!r}; expected z:<l>, zz:<l>,<l+1> or xy:<l>,<l+1>"
         )
@@ -351,33 +332,31 @@ def _coefficient(kind: str, sites: tuple[int, ...], tau: float, params: NmrParam
     return float(tau * params.j[sites[0] - 1])
 
 
-def _parity_column(n: int, equal_after: int | None) -> np.ndarray:
-    """+-1 pattern alternating along the chain, optionally not flipping once."""
-    a = np.empty(n, dtype=int)
-    a[0] = 1
-    for q in range(1, n):
-        a[q] = a[q - 1] if equal_after is not None and q == equal_after else -a[q - 1]
-    return a
+def _compact_schedule(
+    kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters
+) -> PulseSchedule:
+    """Schedule [U X_b U X_a]^2, sign columns (a, a*b, b, 1): for ``z:l`` b = -1 off l
+    and a = -1 on the other qubits of l's parity class; for ``zz:l,l+1`` b = -1 and
+    a alternates along the chain but not across the pair."""
+    n = params.n_qubits
+    q = np.arange(1, n + 1)
+    if kind == "z":
+        b = np.where(q == sites[0], 1, -1)
+        a = np.where((q != sites[0]) & ((q - sites[0]) % 2 == 0), -1, 1)
+    else:
+        b = -np.ones(n, dtype=int)
+        a = np.where((q - (q > sites[0])) % 2 == 1, 1, -1)
+    s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
+    check_sign_matrix(s, kind, sites)
+    return schedule_from_sign_matrix(s, tau, _descriptor(kind, sites, tau, params))
 
 
 def compile_single_z(l: int, tau: float, params: NmrParameters) -> PulseSchedule:
-    """Compact four-interval schedule for u_z = exp(-i (tau/2) omega_l Z_l).
-
-    Columns are (a, a*b, b, 1) with b = -1 off the target and a = -1 on the
-    qubits of the target's parity class, i.e. [U X_{j!=l} U X_{parity}]^2.
-    """
+    """Compact four-interval schedule for u_z = exp(-i (tau/2) omega_l Z_l)."""
     n = params.n_qubits
     if not 1 <= l <= n:
         raise ValueError(f"target qubit {l} outside 1..{n}")
-    a = np.ones(n, dtype=int)
-    b = -np.ones(n, dtype=int)
-    b[l - 1] = 1
-    for q in range(1, n + 1):
-        if q != l and (q - l) % 2 == 0:
-            a[q - 1] = -1
-    s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
-    check_decoupling_sign_matrix(s, l)
-    return schedule_from_sign_matrix(s, tau, _descriptor("z", (l,), tau, params))
+    return _compact_schedule("z", (l,), tau, params)
 
 
 def compile_zz(pair: tuple[int, int], tau: float, params: NmrParameters) -> PulseSchedule:
@@ -389,11 +368,7 @@ def compile_zz(pair: tuple[int, int], tau: float, params: NmrParameters) -> Puls
             f"pair {pair} is not a nearest-neighbour bond of the {n}-qubit chain; "
             "only chain couplings J_l exist to recouple"
         )
-    a = _parity_column(n, equal_after=l)
-    b = -np.ones(n, dtype=int)
-    s = np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
-    check_recoupling_sign_matrix(s, pair)
-    return schedule_from_sign_matrix(s, tau, _descriptor("zz", pair, tau, params))
+    return _compact_schedule("zz", pair, tau, params)
 
 
 def compile_xy(pair: tuple[int, int], tau: float, params: NmrParameters) -> ConjugatedSchedule:

@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from . import circuit as ci
-from .compiler import apply_schedule, compile_target
+from .compiler import _site_number, apply_schedule, compile_target
 from .hamiltonians import FmoParameters, build_fmo_h, fmo_terms, nmr_from_fmo, trotter_step
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
@@ -130,7 +130,7 @@ def initial_density(label: str, n: int) -> np.ndarray:
     if label == "ground":
         bits = "0" * n
     elif label.startswith("site"):
-        k = int(label[4:]) if label[4:].isascii() and label[4:].isdigit() else 0
+        k = _site_number(label[4:]) or 0
         if not 1 <= k <= n:
             raise ValueError(f"{label!r} names no site in 1..{n}")
         bits = "".join("1" if j == k else "0" for j in range(1, n + 1))
@@ -342,7 +342,10 @@ def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
         raise ValueError("t_max must be nonnegative")
     if t_max == 0:
         return 0, dt
-    steps = max(1, math.ceil(t_max / dt - 1e-9))
+    ratio = float(t_max) / float(dt)
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_max / dt = {ratio} is not a finite step count")
+    steps = max(1, math.ceil(ratio - 1e-9))
     return steps, t_max / steps
 
 

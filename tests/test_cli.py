@@ -155,7 +155,10 @@ def test_compile_rejects_long_range_pair(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("spec", ["z:0_1", "z:+1", "z: 1", "z:\u0661"])
+@pytest.mark.parametrize(
+    "spec",
+    ["z:0_1", "z:+1", "z: 1", "z:\u0661", pytest.param("z:" + "1" * 5000, id="z:5000-digits")],
+)
 def test_compile_target_sites_are_ascii_digit_runs(tmp_path, capsys, spec):
     cfgp = write_config(tmp_path, BASE)
     out = tmp_path / "sched.json"
@@ -292,7 +295,11 @@ def test_evolve_bad_initial_state(tmp_path, capsys):
     assert "initial_state" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["site+1", "site 1", "site\u0661", "site0_1", "site1_0", "site"])
+@pytest.mark.parametrize(
+    "label",
+    ["site+1", "site 1", "site\u0661", "site0_1", "site1_0", "site",
+     pytest.param("site" + "1" * 5000, id="site5000-digits")],
+)
 def test_evolve_site_index_is_a_run_of_ascii_digits(tmp_path, label):
     cfgp = write_config(tmp_path, deep(BASE, (("evolution", "initial_state"), label)))
     code, out, err = run_cli(["evolve", "--config", cfgp])
@@ -314,6 +321,14 @@ def test_evolve_compiled_lowering(tmp_path):
     ra = [[float(x) for x in line.split(",")] for line in a.read_text().strip().split("\n")[1:]]
     rb = [[float(x) for x in line.split(",")] for line in b.read_text().strip().split("\n")[1:]]
     assert np.abs(np.array(ra) - np.array(rb)).max() < 1e-9
+
+
+def test_evolve_step_count_overflow_exits_2(tmp_path):
+    doc = deep(BASE, (("evolution", "t_max"), 1e300), (("evolution", "dt"), 1e-300))
+    code, out, err = run_cli(["evolve", "--config", write_config(tmp_path, doc)])
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line == "error: t_max / dt = inf is not a finite step count"
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

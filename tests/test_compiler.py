@@ -19,8 +19,7 @@ from fmosim.compiler import (
     PulseSchedule,
     Segment,
     apply_schedule,
-    check_decoupling_sign_matrix,
-    check_recoupling_sign_matrix,
+    check_sign_matrix,
     compile_single_z,
     compile_target,
     compile_xy,
@@ -87,7 +86,7 @@ def test_decoupling_matrix_first_target_is_hadamard_prefix():
 def test_decoupling_matrices_satisfy_invariants(n):
     for target in range(1, n + 1):
         s = decoupling_sign_matrix(n, target)
-        check_decoupling_sign_matrix(s, target)
+        check_sign_matrix(s, "z", (target,))
         assert s.shape == (n, 1 << max(0, math.ceil(math.log2(n))))
 
 
@@ -95,12 +94,12 @@ def test_decoupling_matrices_satisfy_invariants(n):
 def test_recoupling_matrices_satisfy_invariants(n):
     for left in range(1, n):
         s = recoupling_sign_matrix(n, (left, left + 1))
-        check_recoupling_sign_matrix(s, (left, left + 1))
+        check_sign_matrix(s, "zz", (left, left + 1))
 
 
 def test_recoupling_nonadjacent_pair_supported_by_generator():
     s = recoupling_sign_matrix(6, (2, 5))
-    check_recoupling_sign_matrix(s, (2, 5))
+    check_sign_matrix(s, "zz", (2, 5))
 
 
 def test_checkers_reject_corruption():
@@ -108,14 +107,83 @@ def test_checkers_reject_corruption():
     bad = s.copy()
     bad[4, 3] *= -1
     with pytest.raises(ValueError):
-        check_decoupling_sign_matrix(bad, 2)
+        check_sign_matrix(bad, "z", (2,))
     r = recoupling_sign_matrix(7, (3, 4))
     bad = r.copy()
     bad[2] = bad[3] = np.abs(bad[2])  # equal but unbalanced
     with pytest.raises(ValueError):
-        check_recoupling_sign_matrix(bad, (3, 4))
+        check_sign_matrix(bad, "zz", (3, 4))
     with pytest.raises(ValueError):
-        check_decoupling_sign_matrix(np.array([[1, 2], [0, 1]]), 1)
+        check_sign_matrix(np.array([[1, 2], [0, 1]]), "z", (1,))
+
+
+def sign_matrices(n):
+    """Every Hadamard and compact sign matrix for n qubits, with its kept term."""
+    p = NmrParameters(omega=np.ones(n), j=0.2 * np.ones(n - 1))
+    for l in range(1, n + 1):
+        yield decoupling_sign_matrix(n, l), "z", (l,)
+        yield compile_single_z(l, 1.0, p).sign_matrix(), "z", (l,)
+    for i in range(1, n):
+        yield compile_zz((i, i + 1), 1.0, p).sign_matrix(), "zz", (i, i + 1)
+        for j in range(i + 1, n + 1):
+            yield recoupling_sign_matrix(n, (i, j)), "zz", (i, j)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_checker_accepts_every_built_matrix_and_rejects_each_flip(n):
+    # A flip moves its row sum by 2, off both the kept value m and 0.
+    for s, kind, sites in sign_matrices(n):
+        check_sign_matrix(s, kind, sites)
+        for q, k in np.ndindex(s.shape):
+            bad = s.copy()
+            bad[q, k] *= -1
+            with pytest.raises(ValueError, match="must be all \\+1|not balanced"):
+                check_sign_matrix(bad, kind, sites)
+
+
+def reference_compact_columns(kind, sites, n):
+    """The compact (a, a*b, b, 1) columns as built with an explicit parity column."""
+
+    def parity_column(equal_after):
+        a = np.empty(n, dtype=int)
+        a[0] = 1
+        for q in range(1, n):
+            a[q] = a[q - 1] if q == equal_after else -a[q - 1]
+        return a
+
+    b = -np.ones(n, dtype=int)
+    if kind == "z":
+        (l,) = sites
+        a = np.ones(n, dtype=int)
+        b[l - 1] = 1
+        for q in range(1, n + 1):
+            if q != l and (q - l) % 2 == 0:
+                a[q - 1] = -1
+    else:
+        a = parity_column(equal_after=sites[0])
+    return np.column_stack([a, a * b, b, np.ones(n, dtype=int)])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_compact_schedules_match_parity_column_reference(n):
+    p = NmrParameters(omega=np.ones(n), j=0.2 * np.ones(n - 1))
+    built = [(compile_single_z(l, 0.3, p), "z", (l,)) for l in range(1, n + 1)]
+    built += [(compile_zz((l, l + 1), 0.3, p), "zz", (l, l + 1)) for l in range(1, n)]
+    for sched, kind, sites in built:
+        want = schedule_from_sign_matrix(reference_compact_columns(kind, sites, n), 0.3)
+        assert sched.pulse_layers == want.pulse_layers
+
+
+def test_checker_names_the_broken_rule():
+    s = decoupling_sign_matrix(4, 2)
+    with pytest.raises(ValueError, match="rows 3,4 are not orthogonal"):
+        check_sign_matrix(s[[0, 1, 2, 2]], "z", (2,))
+    r = recoupling_sign_matrix(4, (1, 3))
+    with pytest.raises(ValueError, match="pair rows must be equal"):
+        check_sign_matrix(r, "zz", (1, 2))
+    for kind, sites in (("xy", (1, 2)), ("z", (5,)), ("zz", (3,))):
+        with pytest.raises(ValueError, match="no sign matrix rule"):
+            check_sign_matrix(s, kind, sites)
 
 
 def test_width_cap():

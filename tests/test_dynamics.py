@@ -206,6 +206,14 @@ def test_exact_time_zero_and_bad_dt():
         integrate_exact(rho0, fmo, NoiseParameters.uniform(2, 0.1, 0), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("route", [integrate_exact, evolve_trotter_open])
+def test_step_count_must_be_finite(route):
+    rho0 = random_density(2, seed=7)
+    noise = NoiseParameters.uniform(2, 0.1, 0)
+    with pytest.raises(ValueError, match="t_max / dt = inf"):
+        route(rho0, chain_fmo(2, seed=7), noise, 1e300, 1e-300)
+
+
 def test_exact_fourth_order_convergence():
     fmo = chain_fmo(3, seed=8)
     noise = NoiseParameters.uniform(3, 0.15, 0.2)
