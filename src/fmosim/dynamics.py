@@ -37,11 +37,12 @@ of such elements; the step unitary likewise has no entry between different
 excitation numbers (exactly zero for ``dense-blocks``, roundoff for
 ``compiled-pulses``), so its support block is the step.  For ``siteK`` the
 support is the n + 1 states with at most one excitation; a full-rank rho0
-has the full support of 2^n states, with the same code.  Recorded states
-stay on the support: the shared record loop (``_record``) keeps the m x m
-blocks, and ``Trajectory`` reads populations, trace, purity and the state
-JSON from them.  The state JSON keeps the full 2^n x 2^n layout byte for
-byte; ``Trajectory.states`` scatters the blocks into it on demand.
+has the full support of 2^n states, with the same code.  Either step is a
+fixed linear map of the support block; the shared loop ``_record`` applies it
+as one m^2 x m^2 matvec on at most ``PROPAGATOR_MAX_STATES`` (16) states, else
+by calling the step.  Recorded blocks stay on the support; ``Trajectory`` reads
+populations, trace, purity and the state JSON (full 2^n x 2^n layout, byte for
+byte) from them and scatters them into ``states`` on demand.
 
 Populations are excitation-basis: p_j = tr(rho n_j), so the all-ground state
 has p = 0 and dissipation drains p_j toward zero; 1 - sum_j p_j is the
@@ -63,6 +64,9 @@ from .hamiltonians import FmoParameters, build_fmo_h, fmo_terms, nmr_from_fmo, t
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 logger = logging.getLogger(__name__)
+
+PROPAGATOR_MAX_STATES = 16  # largest support stepped by its propagator (README)
+RECORD_BUDGET_BYTES = 1 << 30  # largest total size of one run's recorded blocks
 
 __all__ = [
     "NoiseParameters",
@@ -184,9 +188,9 @@ class LindbladGenerator:
     """Precomputed right-hand side of the master equation on a support.
 
     ``support`` is the sorted array of basis states rho lives on (all 2^n by
-    default); ``rhs`` acts on the support block rho[S, S] of an m x m state.
-    The non-unitary part is the dissipator of ``_dissipator``, applied
-    linearly; the digital step exponentiates the same mask and refill vectors.
+    default); ``rhs`` acts on the m x m support block rho[S, S], or on each
+    block of a stack (..., m, m).  The non-unitary part is the dissipator of
+    ``_dissipator``, applied linearly; the digital step exponentiates it.
     """
 
     def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None):
@@ -201,9 +205,10 @@ class LindbladGenerator:
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.h @ rho - rho @ self.h)
         out += self.decay * rho
-        flat = out.reshape(-1)
+        # Flat entries on the leading axis: one block stays 1-d, numpy's fast index path.
+        flat, src = (a.reshape(*a.shape[:-2], -1).T for a in (out, rho))
         for weight, lo, hi in self.refill:
-            flat[lo] += weight * np.take(rho, hi)
+            flat[lo] += weight * src[hi]
         return out
 
 
@@ -360,19 +365,33 @@ def _state_on_support(rho0, fmo: FmoParameters, noise: NoiseParameters):
     return rho0, _support(rho0, n)
 
 
+def _propagator(step, m: int) -> np.ndarray:
+    """P with vec(step(rho)) = P vec(rho): the m^2 basis blocks stepped as one stack."""
+    return step(np.eye(m * m, dtype=complex).reshape(-1, m, m)).reshape(m * m, -1).T
+
+
 def _record(
     rho0, support, step, steps: int, h: float, record_every: int, method: str
 ) -> Trajectory:
-    """Apply ``step`` to rho0's support block ``steps`` times.
+    """Apply the linear ``step`` to rho0's support block ``steps`` times.
 
-    Every record_every-th and the last block are kept as they are, on the
-    support; the Trajectory scatters them into 2^n x 2^n arrays only if its
-    ``states`` are read.
+    With at most ``PROPAGATOR_MAX_STATES`` support states, a step is one matvec
+    by ``_propagator(step, m)``.  Every record_every-th and the last block are
+    kept on the support; the Trajectory scatters them into 2^n x 2^n arrays
+    only if its ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES`` are refused.
     """
+    m, records = len(support), 1 + -(-steps // record_every)
+    if records * m * m * 16 > RECORD_BUDGET_BYTES:
+        raise ValueError(f"the run would record {records} states of {m} x {m} entries, over "
+                         f"the {RECORD_BUDGET_BYTES:,}-byte budget; raise dt or record_every")
     rho = rho0[np.ix_(support, support)]
     times, blocks = [0.0], [rho]
     # A diverged run is reported by Trajectory's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
+        if steps and m <= PROPAGATOR_MAX_STATES:
+            prop = _propagator(step, m)
+            def step(rho):
+                return (prop @ rho.reshape(-1)).reshape(m, m)
         for k in range(1, steps + 1):
             rho = step(rho)
             if k % record_every == 0 or k == steps:
@@ -393,7 +412,8 @@ def integrate_exact(
     """Brute-force RK4 integration of the master equation on rho0's support.
 
     The step is shrunk to divide t_max exactly; states are recorded every
-    ``record_every`` steps (and always at t_max).
+    ``record_every`` steps (and always at t_max).  A step is one matvec on at
+    most ``PROPAGATOR_MAX_STATES`` support states, else four ``rhs`` calls.
     """
     steps, h = _step_grid(t_max, dt, record_every)
     rho0, support = _state_on_support(rho0, fmo, noise)
@@ -468,7 +488,7 @@ def evolve_trotter_open(
 
     def trotter(rho):
         rho = u @ rho @ uh
-        flat = rho.reshape(-1)
+        flat = rho.reshape(*rho.shape[:-2], -1).T
         # In place, so a site refills from the earlier sites' refills; mask last.
         for lo, hi, share in moves:
             flat[lo] += share * flat[hi]

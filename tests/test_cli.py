@@ -331,6 +331,20 @@ def test_evolve_step_count_overflow_exits_2(tmp_path):
     assert line == "error: t_max / dt = inf is not a finite step count"
 
 
+@pytest.mark.parametrize("method", ["exact", "trotter", "both"])
+def test_evolve_refuses_records_over_the_budget(tmp_path, method):
+    # The budget the README states, checked first: without it this run would
+    # step 10^12 times while its memory grows.
+    assert fmosim.dynamics.RECORD_BUDGET_BYTES == 1 << 30
+    doc = deep(BASE, (("evolution", "t_max"), 1e6), (("evolution", "dt"), 1e-6))
+    out = tmp_path / "traj.csv"
+    cfgp = write_config(tmp_path, doc)
+    code, stdout, err = run_cli(["evolve", "--config", cfgp, "--method", method, "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    [line] = err.splitlines()
+    assert line.startswith("error: the run would record 1000000000001 states of 4 x 4 entries")
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_evolve_rejects_record_every_below_one(tmp_path, capsys, every):
     cfgp = write_config(tmp_path, BASE)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fmosim import circuit as ci
+from fmosim import dynamics
 from fmosim.channels import (
     damping_basis_solution,
     dephasing_kraus_corrected,
@@ -855,3 +856,98 @@ def test_generator_and_step_keep_the_sector(n):
     other = weight[:, None] != weight[None, :]
     assert np.all(trotter_step(fmo, 0.05)[other] == 0)
     assert np.abs(_compiled_step_unitary(fmo, 0.05)[other]).max() <= 1e-14
+
+
+# --- propagator stepping against the per-step path it replaces on small supports ------
+
+# (n, K): random states on the sector of at most K excitations, m = 8, 11, 16 and 29.
+PROPAGATOR_CASES = [(7, 1), (4, 2), (5, 2), (7, 2)]
+ROUTES = ["exact", "dense-blocks", "compiled-pulses"]
+
+
+def run_route(route, rho0, fmo, noise, t_max, dt, every):
+    if route == "exact":
+        return integrate_exact(rho0, fmo, noise, t_max, dt, every)
+    return evolve_trotter_open(rho0, fmo, noise, t_max, dt, route, every)
+
+
+def spy_propagators(monkeypatch):
+    """Patch ``_propagator`` to keep every P it builds; returns that list."""
+    built, real = [], dynamics._propagator
+
+    def spy(step, m):
+        built.append(real(step, m))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "_propagator", spy)
+    return built
+
+
+@pytest.mark.parametrize("n, k", PROPAGATOR_CASES)
+@pytest.mark.parametrize("route", ROUTES)
+def test_propagator_stepping_matches_the_step_function(n, k, route, monkeypatch):
+    rng = np.random.default_rng(900 + 10 * n + k)
+    fmo = chain_fmo(n, seed=n)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    rho0 = random_sector_density(n, k, rng)
+    built = spy_propagators(monkeypatch)
+    # 0, 1 and 15 steps of dt = 0.02, recorded every step and every 7th.
+    for t_max, every in ((0.0, 1), (0.02, 1), (0.02, 7), (0.3, 1), (0.3, 7)):
+        runs = []
+        for cap in (10**6, 0):  # the propagator on any support, then on none
+            monkeypatch.setattr(dynamics, "PROPAGATOR_MAX_STATES", cap)
+            runs.append(run_route(route, rho0, fmo, noise, t_max, 0.02, every))
+        fast, slow = runs
+        assert len(built) == (t_max > 0)
+        built.clear()
+        assert len(fast.support) == {1: n + 1, 2: 1 + n + n * (n - 1) // 2}[k]
+        assert fast.times == slow.times and len(fast.times) == {0.0: 1, 0.02: 2}.get(
+            t_max, 16 if every == 1 else 4
+        )
+        for a, b in zip(fast.blocks, slow.blocks):
+            assert np.abs(a - b).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, k", PROPAGATOR_CASES)
+def test_stacked_rhs_matches_one_block_at_a_time(n, k):
+    rng = np.random.default_rng(950 + n + k)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    support = _support(random_sector_density(n, k, rng), n)
+    gen = LindbladGenerator(chain_fmo(n, seed=n), noise, support)
+    m = len(support)
+    stack = rng.normal(size=(2, 3, m, m)) + 1j * rng.normal(size=(2, 3, m, m))
+    got = gen.rhs(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.abs(got[idx] - gen.rhs(stack[idx])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, k", PROPAGATOR_CASES[:3])
+@pytest.mark.parametrize("route", ROUTES)
+def test_propagator_trace_row_is_the_identity(n, k, route, monkeypatch):
+    # tr(step(rho)) = tr(rho) for every rho: vec(I)^T P = vec(I)^T.
+    rng = np.random.default_rng(970 + n + k)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    rho0 = random_sector_density(n, k, rng)
+    built = spy_propagators(monkeypatch)
+    run_route(route, rho0, chain_fmo(n, seed=n), noise, 0.05, 0.05, 1)
+    [p] = built
+    m = len(_support(rho0, n))
+    trace_row = np.eye(m).reshape(-1)
+    assert np.abs(trace_row @ p - trace_row).max() <= 1e-14
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_record_budget_refuses_before_stepping(route, monkeypatch):
+    # site1 at n = 3 has m = 4: one recorded block is 4 * 4 * 16 = 256 bytes.
+    rho0, fmo = initial_density("site1", 3), chain_fmo(3)
+    noise = NoiseParameters.uniform(3, 0.1, 0.1)
+    monkeypatch.setattr(dynamics, "RECORD_BUDGET_BYTES", 11 * 256)
+    assert len(run_route(route, rho0, fmo, noise, 1.0, 0.1, 1).times) == 11
+    assert len(run_route(route, rho0, fmo, noise, 1.0, 0.02, 5).times) == 11
+    for dt, every in ((1 / 11, 1), (1 / 55, 5)):
+        with pytest.raises(ValueError, match="would record 12 states of 4 x 4 entries"):
+            run_route(route, rho0, fmo, noise, 1.0, dt, every)
+    monkeypatch.setattr(dynamics, "_propagator", lambda step, m: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match="record 1000000000001 states"):
+        run_route(route, rho0, fmo, noise, 1e6, 1e-6, 1)
