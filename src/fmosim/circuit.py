@@ -59,6 +59,8 @@ __all__ = [
     "run_density",
     "operator_sum",
     "unitary_of",
+    "apply",
+    "apply_gates",
     "embed",
     "RegisterTooLarge",
     "check_unitary_register",
@@ -271,8 +273,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
 # axes next to each other at the position of the first of them (a no-op for
 # ascending neighbours), multiplies the contiguous (2^lo, 2^k, rest) view by
 # the 2^k x 2^k operator with one matmul (a phase vector elementwise), and moves
-# the axes back.  Gates, Kraus operators, ``unitary_of`` and ``embed`` (a dense
-# local operator, for Hamiltonians and target unitaries) all go through it.
+# the axes back.  ``apply`` places it on a 2^n x k matrix and ``apply_gates`` is the
+# one gate loop; only the two-sided density updates call ``_apply`` directly.
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, qubits: Sequence[int], offset: int) -> np.ndarray:
@@ -286,15 +288,27 @@ def _apply(tensor: np.ndarray, op: np.ndarray, qubits: Sequence[int], offset: in
     return np.moveaxis(out.reshape(t.shape), block, axes)
 
 
+def apply(op: np.ndarray, qubits: Sequence[int], u: np.ndarray) -> np.ndarray:
+    """``op`` placed on ``qubits`` times ``u``, a 2^n x k array; a 1-d ``op`` is a phase vector."""
+    n, qubits = len(u).bit_length() - 1, tuple(qubits)
+    if len(u) != 1 << n or len(set(qubits)) != len(qubits) or any(not 1 <= q <= n for q in qubits):
+        raise ValueError(f"qubits {qubits} are repeated or outside register 1..{n}")
+    return _apply(u.reshape((2,) * n + (-1,)), op, qubits, 0).reshape(len(u), -1)
+
+
+def apply_gates(gates: Sequence[Instruction], u: np.ndarray) -> np.ndarray:
+    """The unitary of ``gates``, applied in order, times the 2^n x k matrix ``u``."""
+    for g in gates:
+        if not isinstance(g, Gate):
+            raise ValueError("only unitary gates can be applied to a state or matrix")
+        u = apply(gate_matrix(g), g.qubits, u)
+    return u
+
+
 def embed(op: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the local operator ``op`` acting on ``qubits``."""
-    qubits = tuple(qubits)
-    if len(set(qubits)) != len(qubits) or any(not 1 <= q <= n for q in qubits):
-        raise ValueError(f"qubits {qubits} are repeated or outside register 1..{n}")
     check_unitary_register(n)
-    dim = 2**n
-    eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    return _apply(eye, op, qubits, 0).reshape(dim, dim)
+    return apply(op, qubits, np.eye(2**n, dtype=complex))
 
 
 def parse_basis_label(init: str | int, n: int) -> np.ndarray:
@@ -321,12 +335,7 @@ def run_statevector(program: Program, init: str | int | np.ndarray = 0) -> np.nd
         psi = np.asarray(init, dtype=complex).reshape(2**n)
         if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
             raise ValueError("initial state is not normalized")
-    t = psi.reshape((2,) * n)
-    for ins in program.instructions:
-        if not isinstance(ins, Gate):
-            raise ValueError("statevector simulation supports unitary gates only")
-        t = _apply(t, gate_matrix(ins), ins.qubits, 0)
-    return t.reshape(2**n)
+    return apply_gates(program.instructions, psi[:, None]).reshape(2**n)
 
 
 def run_density(
@@ -406,15 +415,8 @@ def check_unitary_register(n: int) -> None:
 
 def unitary_of(program: Program) -> np.ndarray:
     """Dense unitary of a gate-only program (register capped at 10 qubits)."""
-    n = program.n_qubits
-    check_unitary_register(n)
-    dim = 2**n
-    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for ins in program.instructions:
-        if not isinstance(ins, Gate):
-            raise ValueError("unitary reconstruction supports unitary gates only")
-        u = _apply(u, gate_matrix(ins), ins.qubits, 0)
-    return u.reshape(dim, dim)
+    check_unitary_register(program.n_qubits)
+    return apply_gates(program.instructions, np.eye(2**program.n_qubits, dtype=complex))
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:

@@ -385,8 +385,10 @@ def compile_xy(pair: tuple[int, int], tau: float, params: NmrParameters) -> Conj
 def compile_target(
     kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters
 ) -> PulseSchedule | ConjugatedSchedule:
-    """Schedule for exp(-i coeff TERMS[kind]) on ``sites``, a ``parse_target`` pair."""
+    """Schedule for exp(-i coeff TERMS[kind]) on ``sites``, a ``parse_target`` pair; tau >= 0."""
     _check_phases(tau, params)
+    if tau < 0:
+        raise ValueError(f"tau = {tau!r} is negative; no pulse sequence runs backward")
     if kind == "z":
         return compile_single_z(sites[0], tau, params)
     return {"zz": compile_zz, "xy": compile_xy}[kind](sites, tau, params)
@@ -500,20 +502,17 @@ def apply_schedule(
 ) -> np.ndarray:
     """The schedule's exact unitary times ``u``, a 2^n x k matrix.
 
-    Per segment: the pre-gates (``circuit._apply``), the phase vector of
-    ``_flat_phases`` as a row scale, the post-gates; O(2^n k) each.
+    Per segment: the pre-gates, the phase vector of ``_flat_phases`` placed on
+    every qubit, the post-gates (``circuit.apply``); O(2^n k) each.
     """
     n = sched.n_qubits
     if params.n_qubits != n:
         raise ValueError("parameter set does not match schedule width")
-    t = np.asarray(u, dtype=complex).reshape((2,) * n + (-1,))
+    u = np.asarray(u, dtype=complex).reshape(2**n, -1)
     for seg in sched.segments:
-        for g in seg.pre:
-            t = ci._apply(t, ci.gate_matrix(g), g.qubits, 0)
-        t = _flat_phases(seg.schedule, params, lowering).reshape(t.shape[:-1] + (1,)) * t
-        for g in seg.post:
-            t = ci._apply(t, ci.gate_matrix(g), g.qubits, 0)
-    return t.reshape(2**n, -1)
+        phases = _flat_phases(seg.schedule, params, lowering)
+        u = ci.apply_gates(seg.post, ci.apply(phases, range(1, n + 1), ci.apply_gates(seg.pre, u)))
+    return u
 
 
 def verify_schedule(
@@ -642,9 +641,12 @@ def _flat_from_dict(d, where: str) -> PulseSchedule:
     required = {"n_qubits", "interval_duration", "pulse_layers"}
     _json_object(d, where, required, {"intervals", "target"})
     layers = _json_list(d["pulse_layers"], f"{where}.pulse_layers")
+    duration = float(_json(d["interval_duration"], "a finite number", f"{where}.interval_duration"))
+    if duration < 0:
+        raise ConfigError(f"{where}.interval_duration is negative; no pulse sequence runs backward")
     s = PulseSchedule(
         _json(d["n_qubits"], "an integer", f"{where}.n_qubits"),
-        float(_json(d["interval_duration"], "a finite number", f"{where}.interval_duration")),
+        duration,
         tuple(_json_ints(layer, at) for layer, at in layers),
         _json(d.get("target", ""), "a string", f"{where}.target"),
     )

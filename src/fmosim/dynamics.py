@@ -11,12 +11,10 @@ Two evolution routes for the same model:
   brute-force oracle the digital pipeline is judged against.
 
 * ``evolve_trotter_open``: per step, the first-order split unitary
-  prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one gate
-  per local term of ``hamiltonians.fmo_terms`` in the gate program
-  ``hamiltonians.trotter_program``, then the noise step e^{dt D}.  The step
-  unitary is that program's unitary, or (``compiled-pulses``) each term's
-  ``compiler.compile_target`` schedule applied by ``compiler.apply_schedule``.
-  Both routes hold dense 2^n x 2^n matrices, so both are capped at 10 sites.
+  prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one factor per
+  term of ``hamiltonians.fmo_terms`` (a gate of ``trotter_program``, or for
+  ``compiled-pulses`` its ``compiler.compile_target`` schedule), then the
+  noise step e^{dt D}.
 
 The dissipator D (the Gamma and gamma terms) is built once, by
 ``_dissipator``, as a decay mask plus per-site refill index vectors.  RK4
@@ -33,11 +31,13 @@ with at most K excitations, K the largest excitation number of a row or
 column of rho0 holding a nonzero entry (``_support``).  This is exact.  H
 conserves the excitation number, dissipation only lowers it and dephasing
 keeps it, so every term maps |a><b| with a and b on the support into the span
-of such elements; the step unitary likewise has no entry between different
-excitation numbers (exactly zero for ``dense-blocks``, roundoff for
-``compiled-pulses``), so its support block is the step.  For ``siteK`` the
-support is the n + 1 states with at most one excitation; a full-rank rho0
-has the full support of 2^n states, with the same code.  Either step is a
+of such elements; the step unitary likewise does not couple excitation numbers
+(to roundoff for ``compiled-pulses``), so its support block is the step.  H and
+the step are built on the support alone, by applying the placed terms
+(``circuit.apply``) to the 2^n x m matrix of its basis vectors.  For ``siteK``
+the support is the n + 1 states with at most one excitation; a full-rank rho0
+has the full support of 2^n states, with the same code.  rho0 is a dense
+2^n x 2^n array, so both routes are capped at 10 sites.  Either step is a
 fixed linear map of the support block; the shared loop ``_record`` applies it
 as one m^2 x m^2 matvec on at most ``PROPAGATOR_MAX_STATES`` (16) states, else
 by calling the step.  Recorded blocks stay on the support; ``Trajectory`` reads
@@ -60,13 +60,15 @@ import numpy as np
 
 from . import circuit as ci
 from .compiler import _site_number, apply_schedule, compile_target
-from .hamiltonians import FmoParameters, build_fmo_h, fmo_terms, nmr_from_fmo, trotter_step
+from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo, trotter_program
+from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 logger = logging.getLogger(__name__)
 
 PROPAGATOR_MAX_STATES = 16  # largest support stepped by its propagator (README)
 RECORD_BUDGET_BYTES = 1 << 30  # largest total size of one run's recorded blocks
+STEP_BUDGET = 1 << 34  # largest steps x m^2 of one run (README)
 
 __all__ = [
     "NoiseParameters",
@@ -157,6 +159,12 @@ def _support(rho0: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(weight <= weight[used].max(initial=0))
 
 
+def _support_columns(support: np.ndarray, n: int) -> np.ndarray:
+    """The 2^n x m matrix whose columns are the support's basis vectors (at most 10 sites)."""
+    ci.check_unitary_register(n)
+    return (np.arange(2**n)[:, None] == support).astype(complex)
+
+
 def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
     """The dissipator D on a support of m states, as (decay, refill).
 
@@ -199,7 +207,9 @@ class LindbladGenerator:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
         self.n_sites = n
         support = np.arange(2**n) if support is None else np.asarray(support)
-        self.h = build_fmo_h(fmo)[np.ix_(support, support)]
+        cols = _support_columns(support, n)
+        terms = (ci.apply(c * TERMS[kind], sites, cols) for kind, sites, c in fmo_terms(fmo))
+        self.h = sum(terms, np.zeros_like(cols))[support]
         self.decay, self.refill = _dissipator(noise, support, n)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
@@ -378,12 +388,16 @@ def _record(
     With at most ``PROPAGATOR_MAX_STATES`` support states, a step is one matvec
     by ``_propagator(step, m)``.  Every record_every-th and the last block are
     kept on the support; the Trajectory scatters them into 2^n x 2^n arrays
-    only if its ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES`` are refused.
+    only if its ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES`` or over
+    ``STEP_BUDGET`` steps x m^2 are refused before any step.
     """
     m, records = len(support), 1 + -(-steps // record_every)
     if records * m * m * 16 > RECORD_BUDGET_BYTES:
         raise ValueError(f"the run would record {records} states of {m} x {m} entries, over "
                          f"the {RECORD_BUDGET_BYTES:,}-byte budget; raise dt or record_every")
+    if steps * m * m > STEP_BUDGET:
+        raise ValueError(f"the run would take {steps} steps of {m} x {m} states, over the "
+                         f"budget of {STEP_BUDGET:,} steps x m^2; raise dt or lower t_max")
     rho = rho0[np.ix_(support, support)]
     times, blocks = [0.0], [rho]
     # A diverged run is reported by Trajectory's finiteness check.
@@ -430,20 +444,20 @@ def integrate_exact(
     return _record(rho0, support, rk4, steps, h, record_every, "exact")
 
 
-def _compiled_step_unitary(fmo: FmoParameters, dt: float) -> np.ndarray:
-    """Step unitary with each term of ``fmo_terms`` replaced by its compiled schedule.
-
-    On ``nmr_from_fmo`` a target compiled at tau = dt has coefficient dt c, the
-    term's own c (0.5 dt omega_l = dt eps_l, dt J_l = dt 2 nu_{l,l+1}), so each
-    schedule realizes exactly that term's factor e^{-i dt c P}, applied to the
-    identity in order by ``apply_schedule``.
+def _step_unitary(fmo: FmoParameters, dt: float, lowering: str, support) -> np.ndarray:
+    """Support block of the step unitary: ``trotter_program``'s gates, or each term compiled
+    on ``nmr_from_fmo`` at tau = dt (coefficient dt c), applied to the support's columns.
     """
-    ci.check_unitary_register(fmo.n_sites)
-    nmr = nmr_from_fmo(fmo)
-    u = np.eye(2**fmo.n_sites, dtype=complex)
-    for kind, sites, _ in fmo_terms(fmo):
-        u = apply_schedule(compile_target(kind, sites, dt, nmr), nmr, u)
-    return u
+    u = _support_columns(support, fmo.n_sites)
+    if lowering == "dense-blocks":
+        u = ci.apply_gates(trotter_program(fmo, dt).instructions, u)
+    elif lowering == "compiled-pulses":
+        nmr = nmr_from_fmo(fmo)
+        for kind, sites, _ in fmo_terms(fmo):
+            u = apply_schedule(compile_target(kind, sites, dt, nmr), nmr, u)
+    else:
+        raise ValueError(f"unknown lowering {lowering!r}")
+    return u[support]
 
 
 def evolve_trotter_open(
@@ -459,21 +473,13 @@ def evolve_trotter_open(
 
     Each step applies the first-order Trotter unitary, then the exact noise
     step e^{dt D} of the generator's dissipator (module docstring).  ``lowering``
-    selects how the step unitary is built: ``dense-blocks`` takes that of
-    ``trotter_program``, ``compiled-pulses`` that of each term's compiled
-    X-pulse schedule (nearest-neighbour couplings only).  Both build the
-    2^n x 2^n unitary and cut it to the support, so both cap the register at
-    10 sites.
+    selects how ``_step_unitary`` builds the step on the support's columns:
+    from ``trotter_program`` (``dense-blocks``) or from each term's compiled
+    X-pulse schedule (``compiled-pulses``, nearest-neighbour couplings only).
     """
     steps, h = _step_grid(t_max, dt, record_every)
     rho0, support = _state_on_support(rho0, fmo, noise)
-    if lowering == "dense-blocks":
-        u = trotter_step(fmo, h)
-    elif lowering == "compiled-pulses":
-        u = _compiled_step_unitary(fmo, h)
-    else:
-        raise ValueError(f"unknown lowering {lowering!r}")
-    u = u[np.ix_(support, support)]
+    u = _step_unitary(fmo, h, lowering, support)
     uh = u.conj().T
 
     decay, refill = _dissipator(noise, support, fmo.n_sites)

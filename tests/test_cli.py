@@ -345,6 +345,44 @@ def test_evolve_refuses_records_over_the_budget(tmp_path, method):
     assert line.startswith("error: the run would record 1000000000001 states of 4 x 4 entries")
 
 
+@pytest.mark.parametrize("method", ["exact", "trotter", "both"])
+def test_evolve_refuses_steps_over_the_budget(tmp_path, method):
+    # Two records pass the record budget; the 10^12 steps must be refused
+    # before the first one, not run for weeks.  The budget the README states:
+    assert fmosim.dynamics.STEP_BUDGET == 1 << 34
+    doc = deep(BASE, (("evolution", "t_max"), 1e6), (("evolution", "dt"), 1e-6))
+    out = tmp_path / "traj.csv"
+    argv = ["evolve", "--config", write_config(tmp_path, doc), "--method", method,
+            "--record-every", "1000000000000", "--out", str(out)]
+    code, stdout, err = run_cli(argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    [line] = err.splitlines()
+    assert line.startswith("error: the run would take 1000000000000 steps of 4 x 4 states")
+
+
+def test_compile_refuses_a_negative_tau(tmp_path):
+    out = tmp_path / "schedule.json"
+    argv = ["compile", "z:1", "--tau", "-0.1", "--config", EXAMPLE_CONFIG, "--out", str(out)]
+    code, stdout, err = run_cli(argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    [line] = err.splitlines()
+    assert line == "error: tau = -0.1 is negative; no pulse sequence runs backward"
+
+
+def test_verify_refuses_a_negative_interval_duration(tmp_path):
+    sched = tmp_path / "schedule.json"
+    argv = ["compile", "z:1", "--tau", "0.1", "--config", EXAMPLE_CONFIG, "--out", str(sched)]
+    assert run_cli(argv)[0] == 0
+    doc = json.loads(sched.read_text())
+    doc["interval_duration"] = -doc["interval_duration"]
+    sched.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG])
+    assert code == 2 and stdout == ""
+    [line] = err.splitlines()
+    assert line == (f"error: cannot parse schedule {sched}: schedule.interval_duration "
+                    "is negative; no pulse sequence runs backward")
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_evolve_rejects_record_every_below_one(tmp_path, capsys, every):
     cfgp = write_config(tmp_path, BASE)

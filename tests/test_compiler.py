@@ -6,7 +6,9 @@ matrix invariants rather than against stored artifacts.
 """
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from fmosim import circuit as ci
 from fmosim.compiler import (
+    ConfigError,
     ConjugatedSchedule,
     PulseSchedule,
     Segment,
@@ -223,6 +226,23 @@ def test_frame_parity_enforced():
         PulseSchedule(2, 0.1, ((1,), ()))
     with pytest.raises(ValueError):
         PulseSchedule(2, 0.1, ((3,), (3,)))
+
+
+@pytest.mark.parametrize("kind, sites", [("z", (3,)), ("zz", (2, 3)), ("xy", (4, 5))])
+def test_negative_pulse_times_are_refused_at_the_inputs(kind, sites):
+    # compile_target (the CLI's and the digital step's entry) and the schedule
+    # reader refuse negative time; the per-kind compilers still realize it as
+    # the exact inverse (test_negative_time_and_coupling).
+    p = params7()
+    assert compile_target(kind, sites, 0.0, p).target_time == 0.0
+    with pytest.raises(ValueError, match="tau = -0.1 is negative"):
+        compile_target(kind, sites, -0.1, p)
+    doc = json.loads(schedule_to_json(compile_target(kind, sites, 0.1, p)))
+    flat = doc["segments"][1]["schedule"] if kind == "xy" else doc
+    flat["interval_duration"] = -0.025
+    at = "schedule.segments[1].schedule" if kind == "xy" else "schedule"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(at)}\.interval_duration is negative"):
+        schedule_from_json(json.dumps(doc))
 
 
 def test_effective_coefficients_predictor():

@@ -24,7 +24,7 @@ from fmosim.dynamics import (
     LindbladGenerator,
     NoiseParameters,
     Trajectory,
-    _compiled_step_unitary,
+    _step_unitary,
     _support,
     evolve_trotter_open,
     initial_density,
@@ -473,7 +473,7 @@ def test_trotter_step_matches_dense_product_and_compiled_pulses(dt):
         assert np.abs(trotter_step(fmo, dt) - dense_trotter_step(fmo, dt)).max() <= 1e-12
     for n in range(2, 8):
         fmo = chain_fmo(n, seed=n)
-        compiled = _compiled_step_unitary(fmo, dt)
+        compiled = _step_unitary(fmo, dt, "compiled-pulses", np.arange(2**n))
         assert np.abs(compiled - trotter_step(fmo, dt)).max() <= 1e-12
 
 
@@ -490,7 +490,7 @@ def ir_replay_step_unitary(fmo, dt):
 def test_compiled_step_matches_the_circuit_replay(dt):
     fmo = chain_fmo(7, seed=17)
     want = ir_replay_step_unitary(fmo, dt)
-    assert np.abs(_compiled_step_unitary(fmo, dt) - want).max() <= 1e-13
+    assert np.abs(_step_unitary(fmo, dt, "compiled-pulses", np.arange(2**7)) - want).max() <= 1e-13
 
 
 # --- trajectory container -----------------------------------------------------------
@@ -775,7 +775,9 @@ def full_space_trajectory(rho0, fmo, noise, t_max, dt, route, record_every):
             return acc
 
     else:
-        u = trotter_step(fmo, h) if route == "dense-blocks" else _compiled_step_unitary(fmo, h)
+        u = trotter_step(fmo, h) if route == "dense-blocks" else _step_unitary(
+            fmo, h, "compiled-pulses", np.arange(2**fmo.n_sites)
+        )
 
         def step(rho):
             rho = u @ rho @ u.conj().T
@@ -855,7 +857,8 @@ def test_generator_and_step_keep_the_sector(n):
         assert np.all(d[outside] == 0)
     other = weight[:, None] != weight[None, :]
     assert np.all(trotter_step(fmo, 0.05)[other] == 0)
-    assert np.abs(_compiled_step_unitary(fmo, 0.05)[other]).max() <= 1e-14
+    u = _step_unitary(fmo, 0.05, "compiled-pulses", np.arange(2**n))
+    assert np.abs(u[other]).max() <= 1e-14
 
 
 # --- propagator stepping against the per-step path it replaces on small supports ------
@@ -951,3 +954,62 @@ def test_record_budget_refuses_before_stepping(route, monkeypatch):
     monkeypatch.setattr(dynamics, "_propagator", lambda step, m: pytest.fail("stepped"))
     with pytest.raises(ValueError, match="record 1000000000001 states"):
         run_route(route, rho0, fmo, noise, 1e6, 1e-6, 1)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_step_budget_refuses_before_stepping(route, monkeypatch):
+    # site1 at n = 3 has m = 4: a step costs 16 in steps x m^2.
+    rho0, fmo = initial_density("site1", 3), chain_fmo(3)
+    noise = NoiseParameters.uniform(3, 0.1, 0.1)
+    monkeypatch.setattr(dynamics, "STEP_BUDGET", 10 * 16)
+    assert len(run_route(route, rho0, fmo, noise, 1.0, 0.1, 10).times) == 2
+    with pytest.raises(ValueError, match="would take 11 steps of 4 x 4 states"):
+        run_route(route, rho0, fmo, noise, 1.0, 1 / 11, 11)
+    monkeypatch.undo()
+    # Two records pass the record budget; the 10^12 steps must not start.
+    monkeypatch.setattr(dynamics, "_propagator", lambda step, m: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match="would take 1000000000000 steps"):
+        run_route(route, rho0, fmo, noise, 1e6, 1e-6, 10**12)
+
+
+# --- H and the step unitary built on the support's columns ----------------------------
+
+
+def support_cases(n, rng):
+    """Supports of site1, of a two-excitation basis state (n >= 2) and of a full-rank rho0."""
+    labels = ["site1"] + (["11" + "0" * (n - 2)] if n >= 2 else [])
+    supports = [_support(initial_density(label, n), n) for label in labels]
+    supports.append(_support(random_density(n, seed=int(rng.integers(1 << 30))), n))
+    assert len(supports[-1]) == 2**n
+    return supports
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_support_builds_match_the_cut_full_space_builds(n):
+    rng = np.random.default_rng(1600 + n)
+    fmo = random_couplings(n, rng)  # the long-range pair (1, n) places non-adjacent terms
+    chain = FmoParameters(fmo.epsilon, np.triu(np.tril(fmo.nu, 1), -1))  # compiled needs bonds
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    dt = float(rng.uniform(0.01, 0.5))
+    h, step, replay = build_fmo_h(fmo), trotter_step(fmo, dt), ir_replay_step_unitary(chain, dt)
+    for s in support_cases(n, rng):
+        cut = np.ix_(s, s)
+        assert np.array_equal(LindbladGenerator(fmo, noise, s).h, h[cut])
+        assert np.abs(_step_unitary(fmo, dt, "dense-blocks", s) - step[cut]).max() <= 1e-14
+        got = _step_unitary(chain, dt, "compiled-pulses", s)
+        assert np.abs(got - replay[cut]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_building_a_ten_site_route_from_site1_stays_on_the_support(route):
+    # The support has 11 states; one 2^10 x 2^10 complex matrix alone is 16 MiB.
+    fmo, noise = chain_fmo(10, seed=10), NoiseParameters.uniform(10, 0.05, 0.05)
+    rho0 = initial_density("site1", 10)
+    tracemalloc.start()
+    try:
+        traj = run_route(route, rho0, fmo, noise, 0.0, 0.05, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.support) == 11 and traj.times == (0.0,)
+    assert peak < 4 << 20
