@@ -268,24 +268,15 @@ def gate_matrix(g: Gate) -> np.ndarray:
 
 # --- simulators -------------------------------------------------------------
 #
-# States are reshaped to rank-n tensors (one axis per qubit, qubit 1 first).
-# One kernel, ``_apply``, places every local operator: it moves the k target
-# axes next to each other at the position of the first of them (a no-op for
-# ascending neighbours), multiplies the contiguous (2^lo, 2^k, rest) view by
-# the 2^k x 2^k operator with one matmul (a phase vector elementwise), and moves
-# the axes back.  ``apply`` places it on a 2^n x k matrix and ``apply_gates`` is the
-# one gate loop; only the two-sided density updates call ``_apply`` directly.
-
-
-def _apply(tensor: np.ndarray, op: np.ndarray, qubits: Sequence[int], offset: int) -> np.ndarray:
-    k = len(qubits)
-    axes = [offset + q - 1 for q in qubits]
-    lo = min(axes)
-    block = list(range(lo, lo + k))
-    t = np.moveaxis(tensor, axes, block)
-    t3 = t.reshape(2**lo, 2**k, -1)
-    out = op[:, None] * t3 if op.ndim == 1 else np.matmul(op, t3)
-    return np.moveaxis(out.reshape(t.shape), block, axes)
+# One kernel, ``apply``, places every local operator on a 2^n x k matrix.  It
+# views the matrix as a tensor with one axis per qubit (qubit 1 first) and one
+# for the k columns, moves the target axes next to each other at the position
+# of the first of them (a no-op for ascending neighbours), multiplies the
+# contiguous (2^lo, 2^k, rest) view by the 2^k x 2^k operator with one matmul
+# (a phase vector elementwise), and moves the axes back.  ``apply_gates`` is the
+# one gate loop.  A density matrix stays 2^n x 2^n: ``operator_sum`` takes
+# K rho K^dag as (K (K rho)^dag)^dag, two calls of ``apply``, and ``run_density``
+# sends gates and Kraus channels alike through it.
 
 
 def apply(op: np.ndarray, qubits: Sequence[int], u: np.ndarray) -> np.ndarray:
@@ -293,7 +284,13 @@ def apply(op: np.ndarray, qubits: Sequence[int], u: np.ndarray) -> np.ndarray:
     n, qubits = len(u).bit_length() - 1, tuple(qubits)
     if len(u) != 1 << n or len(set(qubits)) != len(qubits) or any(not 1 <= q <= n for q in qubits):
         raise ValueError(f"qubits {qubits} are repeated or outside register 1..{n}")
-    return _apply(u.reshape((2,) * n + (-1,)), op, qubits, 0).reshape(len(u), -1)
+    k, axes = len(qubits), [q - 1 for q in qubits]
+    lo = min(axes)
+    block = list(range(lo, lo + k))
+    t = np.moveaxis(u.reshape((2,) * n + (-1,)), axes, block)
+    t3 = t.reshape(2**lo, 2**k, -1)
+    out = op[:, None] * t3 if op.ndim == 1 else np.matmul(op, t3)
+    return np.moveaxis(out.reshape(t.shape), block, axes).reshape(len(u), -1)
 
 
 def apply_gates(gates: Sequence[Instruction], u: np.ndarray) -> np.ndarray:
@@ -341,23 +338,26 @@ def run_statevector(program: Program, init: str | int | np.ndarray = 0) -> np.nd
 def run_density(
     program: Program, rho0: np.ndarray, allow_noncptp: bool = False
 ) -> np.ndarray:
-    """Evolve a density matrix through gates, Kraus channels and discards.
+    """Evolve a 2^n x 2^n density matrix through gates, Kraus channels and discards.
 
-    A channel whose CPTP status is ``violated`` raises unless
-    ``allow_noncptp`` is passed; it is then applied with a logged warning,
-    and the caller owns the interpretation of the trace-changing output.
+    A gate (its matrix or phase vector) and a channel (its Kraus operators)
+    both go through ``operator_sum``; a discard is a partial trace.  A channel
+    whose CPTP status is ``violated`` raises unless ``allow_noncptp`` is
+    passed; it is then applied with a logged warning, and the caller owns the
+    interpretation of the trace-changing output.
     """
     n = program.n_qubits
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (2**n, 2**n):
         raise ValueError(f"density matrix must be {2**n}x{2**n}")
-    t = rho.reshape((2,) * (2 * n))
     for ins in program.instructions:
+        if isinstance(ins, MeasureAndDiscard):
+            rho = partial_trace(rho, _others(ins.qubit, n), n)
+            n -= 1
+            continue
         if isinstance(ins, Gate):
-            u = gate_matrix(ins)
-            t = _apply(t, u, ins.qubits, 0)
-            t = _apply(t, u.conj(), ins.qubits, n)
-        elif isinstance(ins, KrausApply):
+            ops, qubits = (gate_matrix(ins),), ins.qubits
+        else:
             ch = ins.channel
             if ch.cptp == "violated":
                 if not allow_noncptp:
@@ -371,28 +371,23 @@ def run_density(
                     ch.provenance,
                     ch.deficit,
                 )
-            t = operator_sum(t.reshape(2**n, 2**n), ch.ops, ins.qubit).reshape((2,) * (2 * n))
-        else:
-            rho_m = partial_trace(t.reshape(2**n, 2**n), _others(ins.qubit, n), n)
-            n -= 1
-            t = rho_m.reshape((2,) * (2 * n))
-    return t.reshape(2**n, 2**n)
+            ops, qubits = ch.ops, (ins.qubit,)
+        rho = operator_sum(rho, ops, qubits)
+    return rho
 
 
-def operator_sum(rho: np.ndarray, ops: Sequence[np.ndarray], qubit: int = 1) -> np.ndarray:
-    """sum_k K_k rho K_k^dag, each 2x2 K_k acting on ``qubit`` of a 2^n x 2^n rho.
+def operator_sum(
+    rho: np.ndarray, ops: Sequence[np.ndarray], qubits: Sequence[int] = (1,)
+) -> np.ndarray:
+    """sum_k K_k rho K_k^dag, each K_k placed on ``qubits`` of a 2^n x 2^n rho.
 
+    Each K_k is a matrix or a phase vector, as in ``apply``, and each term is
+    taken as (K_k (K_k rho)^dag)^dag, so both sides go through ``apply``.
     The operator sum alone, with no CPTP check: ``run_density`` calls it
     after its gate on ``violated`` channels, and a diagnostic that must see
     a non-CPTP channel's action (``channels.bloch_map``) calls it directly.
-    A one-qubit rho takes the 2x2 products directly.
     """
-    if rho.shape == (2, 2):
-        return sum(k @ rho @ k.conj().T for k in ops)
-    n = rho.shape[0].bit_length() - 1
-    t = rho.reshape((2,) * (2 * n))
-    out = sum(_apply(_apply(t, k, (qubit,), 0), k.conj(), (qubit,), n) for k in ops)
-    return out.reshape(rho.shape)
+    return sum(apply(k, qubits, apply(k, qubits, rho).conj().T).conj().T for k in ops)
 
 
 def _others(q: int, n: int) -> tuple[int, ...]:
@@ -406,8 +401,9 @@ class RegisterTooLarge(ValueError):
 def check_unitary_register(n: int) -> None:
     """Refuse a dense 2^n x 2^n matrix on more than 10 qubits.
 
-    Checked where one is allocated from a size, so every route is capped:
-    ``unitary_of``, ``embed``, ``build_fmo_h``, ``initial_density``, ``export_text``.
+    Every function outside ``qcore`` that allocates a matrix of 2^n rows and
+    more than one column from a register size n calls it first, so no route
+    builds one over 10 qubits; a statevector is not capped.
     """
     if n > 10:
         raise RegisterTooLarge(f"dense 2^n x 2^n matrices capped at 10 qubits, got {n}")
@@ -420,7 +416,7 @@ def unitary_of(program: Program) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    """Reduced density matrix on ``keep`` (1-based, original relative order)."""
+    """Reduced density matrix on the 1-based qubits ``keep``, in the order ``keep`` lists them."""
     keep = tuple(keep)
     if len(set(keep)) != len(keep) or any(not 1 <= q <= n for q in keep):
         raise ValueError("bad keep set")

@@ -31,7 +31,6 @@ __all__ = [
     "TRACE_ATOL",
     "EIGVAL_FLOOR",
     "SCHEDULE_VERIFY_ATOL",
-    "CHANNEL_EQUIV_ATOL",
     "CPTP_VERIFIED_ATOL",
     "kron",
     "pauli_embed",
@@ -58,7 +57,6 @@ UNITARY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGVAL_FLOOR = -1e-10
 SCHEDULE_VERIFY_ATOL = 1e-8
-CHANNEL_EQUIV_ATOL = 1e-10
 CPTP_VERIFIED_ATOL = 1e-10
 
 

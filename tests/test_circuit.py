@@ -152,16 +152,52 @@ def test_unitary_of_register_cap():
         ci.unitary_of(ci.Program(11, (ci.x(1),)))
 
 
-# --- the matmul kernel against the tensordot kernel it replaced ---------------------
+# --- the matmul kernel against a tensordot reference simulator ---------------------
+#
+# A self-contained reference that shares no placement code with ``apply``:
+# statevectors on rank-n tensors, unitaries column by column, and densities on
+# rank-2n tensors with u on axis q - 1 and u.conj() on axis n + q - 1, so rho's
+# columns are not reached through its adjoint.  A phase vector enters as its diagonal.
 
 
 def tensordot_apply(tensor, u, qubits, offset):
-    """Reference kernel: contract u's input axes with tensordot, then move axes back."""
+    """Contract u's input axes with the axes offset + q - 1, then move the axes back."""
     k = len(qubits)
     axes = [offset + q - 1 for q in qubits]
-    ut = u.reshape((2,) * (2 * k))
+    ut = (np.diag(u) if u.ndim == 1 else u).reshape((2,) * (2 * k))
     out = np.tensordot(ut, tensor, axes=(tuple(range(k, 2 * k)), axes))
     return np.moveaxis(out, tuple(range(k)), axes)
+
+
+def reference_statevector(program, psi):
+    n = program.n_qubits
+    t = np.asarray(psi, dtype=complex).reshape((2,) * n)
+    for g in program.instructions:
+        t = tensordot_apply(t, ci.gate_matrix(g), g.qubits, 0)
+    return t.reshape(2**n)
+
+
+def reference_unitary(program):
+    eye = np.eye(2**program.n_qubits, dtype=complex)
+    return np.column_stack([reference_statevector(program, col) for col in eye.T])
+
+
+def reference_density(program, rho):
+    n = program.n_qubits
+    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
+    for ins in program.instructions:
+        if isinstance(ins, ci.MeasureAndDiscard):
+            keep = [q for q in range(1, n + 1) if q != ins.qubit]
+            t = ci.partial_trace(t.reshape(2**n, 2**n), keep, n)
+            n -= 1
+            t = t.reshape((2,) * (2 * n))
+            continue
+        if isinstance(ins, ci.Gate):
+            ops, qubits = [ci.gate_matrix(ins)], ins.qubits
+        else:
+            ops, qubits = ins.channel.ops, (ins.qubit,)
+        t = sum(tensordot_apply(tensordot_apply(t, k, qubits, 0), k.conj(), qubits, n) for k in ops)
+    return t.reshape(2**n, 2**n)
 
 
 def random_unitary(dim, rng):
@@ -170,12 +206,18 @@ def random_unitary(dim, rng):
 
 
 def random_kernel_program(n, rng, noisy):
-    """Random 1-3-qubit UNITARY gates in any qubit order; if noisy, Kraus and discards too."""
+    """Random 1-3-qubit UNITARY gates, dense or phase vectors, in any qubit order.
+
+    If noisy, Kraus channels and discards too.
+    """
     ins, live = [], n
     for _ in range(10):
         k = int(rng.integers(1, min(3, live) + 1))
         qubits = tuple(int(q) + 1 for q in rng.permutation(live)[:k])
-        ins.append(ci.unitary_gate(random_unitary(2**k, rng), qubits))
+        if rng.random() < 0.3:
+            ins.append(ci.unitary_gate(np.exp(1j * rng.uniform(-math.pi, math.pi, size=2**k)), qubits))
+        else:
+            ins.append(ci.unitary_gate(random_unitary(2**k, rng), qubits))
         if noisy and rng.random() < 0.4:
             g = rng.uniform()
             ops = (np.diag([1.0, np.sqrt(1.0 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
@@ -187,7 +229,7 @@ def random_kernel_program(n, rng, noisy):
     return ci.Program(n, tuple(ins))
 
 
-def test_matmul_kernel_matches_tensordot_kernel(monkeypatch):
+def test_matmul_kernel_matches_tensordot_kernel():
     rng = np.random.default_rng(17)
     cases = []
     for n in range(1, 7):
@@ -202,21 +244,18 @@ def test_matmul_kernel_matches_tensordot_kernel(monkeypatch):
     assert any(list(q) != sorted(q) for q in placements)  # descending
     assert any(max(q) - min(q) >= len(q) for q in placements)  # non-adjacent
     assert any(len(q) == 3 for q in placements)
-    kinds = {type(ins) for _, noisy, _, _ in cases for ins in noisy.instructions}
-    assert {ci.KrausApply, ci.MeasureAndDiscard} <= kinds
+    ins_all = [ins for gates, noisy, _, _ in cases for ins in gates.instructions + noisy.instructions]
+    assert {ci.KrausApply, ci.MeasureAndDiscard} <= {type(ins) for ins in ins_all}
+    assert {g.matrix.ndim for g in ins_all if isinstance(g, ci.Gate)} == {1, 2}  # phase vectors too
 
-    def run_all():
-        return [
-            (ci.unitary_of(gates), ci.run_statevector(gates, psi), ci.run_density(noisy, rho))
-            for gates, noisy, psi, rho in cases
+    for gates, noisy, psi, rho in cases:
+        pairs = [
+            (ci.unitary_of(gates), reference_unitary(gates)),
+            (ci.run_statevector(gates, psi), reference_statevector(gates, psi)),
+            (ci.run_density(noisy, rho), reference_density(noisy, rho)),
         ]
-
-    new = run_all()
-    monkeypatch.setattr(ci, "_apply", tensordot_apply)
-    old = run_all()
-    for got, want in zip(new, old):
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
+        for got, want in pairs:
+            assert got.shape == want.shape and np.abs(got - want).max() <= 1e-12
 
 
 # --- a diagonal UNITARY held as its phase vector ----------------------------------
@@ -281,6 +320,15 @@ def test_partial_trace_product_state():
     rho = kron([rho_a, rho_b])
     np.testing.assert_allclose(ci.partial_trace(rho, (1,), 2), rho_a, atol=1e-14)
     np.testing.assert_allclose(ci.partial_trace(rho, (2,), 2), rho_b, atol=1e-14)
+    # The kept qubits follow the order of keep, not the register's.
+    rho3 = kron([np.diag([0.0, 1.0]), np.diag([0.3, 0.7]), ID2 / 2])
+    for keep, diagonal in [
+        ((1, 2), [0, 0, 0.3, 0.7]),
+        ((2, 1), [0, 0.3, 0, 0.7]),
+        ((2, 3), [0.15, 0.15, 0.35, 0.35]),
+        ((3, 2), [0.15, 0.35, 0.15, 0.35]),
+    ]:
+        np.testing.assert_allclose(np.diag(ci.partial_trace(rho3, keep, 3)), diagonal, atol=1e-14)
 
 
 def test_partial_trace_bell():
@@ -325,8 +373,8 @@ def test_kraus_preserves_trace_and_positivity():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_sum_matches_explicit_sum(n):
-    # run_density's Kraus step (the direct 2x2 branch at n = 1, the kernel
-    # otherwise) against sum_k K rho K^dag with K embedded by Kronecker products.
+    # run_density's Kraus step and operator_sum, (K (K rho)^dag)^dag through
+    # apply at every n, against sum_k K rho K^dag with K embedded by Kronecker products.
     rng = np.random.default_rng(20 + n)
     for trial in range(20):
         n_ops = 1 + trial % 4
@@ -341,7 +389,24 @@ def test_operator_sum_matches_explicit_sum(n):
         want = sum(k @ rho @ k.conj().T for k in embedded)
         got = ci.run_density(ci.Program(n, (ci.KrausApply(q, ch),)), rho)
         assert np.abs(got - want).max() <= 1e-14
-        assert np.abs(ci.operator_sum(rho, ops, q) - want).max() <= 1e-14
+        assert np.abs(ci.operator_sum(rho, ops, (q,)) - want).max() <= 1e-14
+
+
+def test_operator_sum_is_the_linear_map_on_any_matrix():
+    # K X K^dag for a non-Hermitian X too: (K (K X)^dag)^dag is K X K^dag for
+    # every X, so the outer adjoint matters.  Matrices and a phase vector.
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 3):
+        x = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
+        for q in range(1, n + 1):
+            embedded = [kron(k if j == q else ID2 for j in range(1, n + 1)) for k in ops]
+            want = sum(k @ x @ k.conj().T for k in embedded)
+            assert np.abs(ci.operator_sum(x, ops, (q,)) - want).max() <= 1e-13
+        qubits = tuple(range(n, 0, -1))
+        d = np.exp(1j * rng.uniform(-math.pi, math.pi, size=2**n))
+        e = ci.embed(np.diag(d), qubits, n)
+        assert np.abs(ci.operator_sum(x, [d], qubits) - e @ x @ e.conj().T).max() <= 1e-13
 
 
 def test_noncptp_kraus_requires_override():
