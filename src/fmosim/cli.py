@@ -254,7 +254,8 @@ def cmd_evolve(args) -> int:
     _write_or_print(traj.to_csv(extra_columns=extra), args.out or cfg.output.get("trajectory"))
     states_path = args.states or cfg.output.get("states")
     if states_path:
-        _write_or_print(traj.to_state_json(), states_path)
+        with open(states_path, "w", encoding="utf-8") as fh:
+            traj.to_state_json(fh)
     return 0
 
 

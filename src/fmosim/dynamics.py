@@ -55,6 +55,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 
@@ -320,14 +321,14 @@ class Trajectory:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def to_state_json(self) -> str:
-        """Full-state dump: times plus row-major [re, im] entries of each 2^n x 2^n state.
+    def to_state_json(self, fh: TextIO) -> None:
+        """Write the full-state dump to ``fh``: times plus row-major [re, im] entries of each state.
 
-        The bytes are those of ``json.dumps`` on the full states.  Only the
-        support rows are formatted: every other row is one cached string of
-        ``[0.0, 0.0]`` cells, and a support row puts ``[re, im]`` cells,
-        printed with ``repr`` as ``json.dumps`` prints a float, at the
-        support columns.
+        The bytes are those of ``json.dumps`` on the 2^n x 2^n states, plus a
+        newline, written one state at a time.  Only the support rows are
+        formatted: every other row is one cached string of ``[0.0, 0.0]``
+        cells, and a support row puts ``[re, im]`` cells, printed with
+        ``repr`` as ``json.dumps`` prints a float, at the support columns.
         """
         import json
 
@@ -335,17 +336,17 @@ class Trajectory:
         zero_cells = ["[0.0, 0.0]"] * dim
         zero_row = "[" + ", ".join(zero_cells) + "]"
         support = self.support.tolist()
-        states = []
-        for s in self.blocks:
+        fh.write(f'{{"method": {json.dumps(self.method)}, "times": {json.dumps(list(self.times))}')
+        for i, s in enumerate(self.blocks):
             rows = [zero_row] * dim
             for a, re_row, im_row in zip(support, s.real.tolist(), s.imag.tolist()):
                 cells = zero_cells.copy()
                 for b, re, im in zip(support, re_row, im_row):
                     cells[b] = f"[{re!r}, {im!r}]"
                 rows[a] = "[" + ", ".join(cells) + "]"
-            states.append("[" + ", ".join(rows) + "]")
-        head = f'{{"method": {json.dumps(self.method)}, "times": {json.dumps(list(self.times))}'
-        return head + ', "states": [' + ", ".join(states) + "]}\n"
+            fh.write("], [" if i else ', "states": [[')
+            fh.write(", ".join(rows))  # one state: the largest string built
+        fh.write("]]}\n")
 
 
 def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:

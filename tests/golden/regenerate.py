@@ -15,10 +15,16 @@ from pathlib import Path
 from fmosim import cli
 
 GOLDEN = Path(__file__).resolve().parent
+EXAMPLE = str(GOLDEN.parent.parent / "configs" / "example.json")
+EVOLVE = ["evolve", "--config", EXAMPLE, "--record-every", "5"]  # the example starts from site1
 
 CASES = [
     (f"channel-{kind}.json", ["channel", kind, "--rate", "0.5", "--time", "0.3"])
     for kind in ("dissipation", "dephasing-paper", "dephasing-corrected")
+] + [("evolve-exact.csv", EVOLVE + ["--method", "exact"])] + [
+    (f"evolve-{method}-{lowering}.csv", EVOLVE + ["--method", method, "--lowering", lowering])
+    for method in ("trotter", "both")
+    for lowering in ("dense-blocks", "compiled-pulses")
 ]
 
 

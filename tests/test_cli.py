@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process via main(argv))."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -273,6 +274,41 @@ def test_evolve_writes_from_the_blocks_without_full_states(tmp_path, monkeypatch
         want = [trace_distance(a, b) for a, b in zip(digital.states, exact.states)]
         got = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
         assert np.allclose(got, want, rtol=1e-11, atol=1e-15)
+
+
+def test_evolve_state_file_is_json_dumps_of_the_full_states(tmp_path):
+    """The --states file is byte for byte json.dumps of the scattered states plus a newline."""
+    cfg = load_config(EXAMPLE_CONFIG)
+    rho0 = initial_density(cfg.initial_state, cfg.fmo.n_sites)
+    states = tmp_path / "s.json"
+    argv = ["evolve", "--config", EXAMPLE_CONFIG, "--method", "both", "--record-every", "25",
+            "--out", str(tmp_path / "t.csv"), "--states", str(states)]
+    assert main(argv) == 0
+    traj = evolve_trotter_open(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, "dense-blocks", 25)
+    want = {
+        "method": traj.method,
+        "times": list(traj.times),
+        "states": [np.stack([s.real, s.imag], -1).tolist() for s in traj.states],
+    }
+    assert len(want["states"]) == 3
+    assert states.read_bytes() == (json.dumps(want) + "\n").encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--states", "--out"])
+def test_evolve_write_failing_midway_exits_2(flag):
+    """A full device fails the write after it starts: exit 2, one error line, no traceback."""
+    src = str(Path(fmosim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fmosim.cli", "evolve", "--config", EXAMPLE_CONFIG,
+         flag, "/dev/full"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and f"[Errno {errno.ENOSPC}]" in line
 
 
 def test_evolve_both_refuses_routes_on_different_supports(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ are checked against dense matrix exponentials and single-site closed forms.
 """
 
 import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -57,6 +58,13 @@ def random_density(n, seed=0):
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def state_json(traj):
+    """``traj.to_state_json`` written into a string."""
+    buf = io.StringIO()
+    traj.to_state_json(buf)
+    return buf.getvalue()
 
 
 def naive_rhs(rho, fmo, noise):
@@ -539,7 +547,7 @@ def test_trajectory_state_json():
 
     rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
     traj = Trajectory((0.0,), (rho,), "exact")
-    doc = json.loads(traj.to_state_json())
+    doc = json.loads(state_json(traj))
     assert doc["method"] == "exact"
     assert doc["states"][0][0][1] == [0.0, 0.5]
 
@@ -563,7 +571,7 @@ def test_state_json_matches_nested_comprehension():
             "times": [0.0, 1.0],
             "states": [[[[e.real, e.imag] for e in row] for row in s] for s in traj.states],
         }
-        text = traj.to_state_json()
+        text = state_json(traj)
         assert "[-0.0, -0.0]" in text and "[0.0, -0.0]" in text
         assert text == json.dumps(want) + "\n"
 
@@ -638,10 +646,42 @@ def test_block_writers_match_the_scattered_writers(n, label):
     blocks = [signed_zero_block(len(support), rng) for _ in range(3)]
     traj = Trajectory((0.0, 0.25, 0.5), tuple(blocks), "exact", support, n)
     extra = {"trace_distance": rng.random(3)}
-    text = traj.to_state_json()
+    text = state_json(traj)
     assert "[-0.0, " in text and ", -0.0]" in text
     assert text == reference_state_json(traj)
     assert traj.to_csv(extra) == reference_csv(traj, extra)
+
+
+class CharCount:
+    """A text sink that keeps only how many characters were written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_state_json_streams_one_state_at_a_time():
+    """Writing 20 states at n = 8 peaks under 3x one state's text, not with the record count."""
+    import json
+
+    n, records = 8, 20
+    support = _support(initial_density("site1", n), n)
+    block = signed_zero_block(len(support), np.random.default_rng(8))
+    times = tuple(0.1 * k for k in range(records))
+    traj = Trajectory(times, (block,) * records, "exact", support, n)
+    full = traj.final_state()
+    one_state = len(json.dumps(np.stack([full.real, full.imag], -1).tolist()))
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        traj.to_state_json(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > records * one_state
+    assert peak < 3 * one_state
 
 
 @pytest.mark.parametrize("n, label", SUPPORT_CASES)
@@ -658,10 +698,10 @@ def test_recorded_blocks_match_the_scattered_writers(n, label):
         assert np.abs(np.array(block_td) - full_td).max() <= 1e-15
         extra = {"trace_distance": np.array(block_td)}
         assert digital.to_csv(extra) == reference_csv(digital, extra)
-        assert digital.to_state_json() == reference_state_json(digital)
+        assert state_json(digital) == reference_state_json(digital)
     assert len(exact.times) == 5
     assert exact.to_csv() == reference_csv(exact, {})
-    assert exact.to_state_json() == reference_state_json(exact)
+    assert state_json(exact) == reference_state_json(exact)
 
 
 def test_states_scatter_on_first_access_only():
@@ -721,7 +761,7 @@ def test_negative_zeros_off_the_support_print_as_positive_zeros():
     rho0[5, 3] = complex(0.0, -0.0)
     traj = integrate_exact(rho0, chain_fmo(n), NoiseParameters.uniform(n, 0.1, 0.0), 0.1, 0.05)
     assert list(traj.support) == [0, 1, 2, 4]
-    state0 = json.loads(traj.to_state_json())["states"][0]
+    state0 = json.loads(state_json(traj))["states"][0]
     for a, b in ((7, 7), (3, 5), (5, 3)):
         assert [math.copysign(1.0, x) for x in state0[a][b]] == [1.0, 1.0]
         z = traj.states[0][a, b]

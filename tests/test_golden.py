@@ -3,6 +3,7 @@ cli.main, reproduces its checked-in file.
 
 Keys, strings (the embedded circuit text among them), booleans and nulls must
 match exactly; numbers within 1e-12, so that a different BLAS cannot fail it.
+A CSV's header line must match exactly, and its cells as numbers.
 """
 
 import json
@@ -34,9 +35,18 @@ def assert_same(got, want, where="$"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def parse(path: Path):
+    """A JSON file as its document; a CSV as its header line plus rows of floats."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    header, *rows = text.splitlines()
+    return [header] + [[float(cell) for cell in row.split(",")] for row in rows]
+
+
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_output_matches_golden_file(name, argv, tmp_path):
     out = tmp_path / name
     assert cli.main(argv + ["--out", str(out)]) == 0
-    assert_same(json.loads(out.read_text()), json.loads((GOLDEN / name).read_text()))
+    assert_same(parse(out), parse(GOLDEN / name))
 
