@@ -470,28 +470,31 @@ def _flat_phases(sched: PulseSchedule, params: NmrParameters, lowering: str) -> 
     Walks U|x> = phase[x] |idx[x]>: X pulses and CNOTs permute idx, diagonal gates
     multiply phase by diagonal[(idx >> shift) & mask].  CNOTs pair up inside each
     interval and the frame closes, so the last layer (idx back to identity) is skipped.
+    The walk runs each gate once over every interval, starting each interval from its
+    frame, the XOR of the pulse layers so far.
     """
     n = sched.n_qubits
     _check_phases(sched.target_time, params)
-    walk = []
-    for g in _interval_instructions(params, sched.interval_duration, lowering):
-        d = ci.gate_matrix(g)
-        if g.kind == "CNOT":  # the control bit flips the target bit
-            walk.append((n - g.qubits[0], 1, n - g.qubits[1], None))
-        else:
-            walk.append((n - g.qubits[-1], len(d) - 1, 0, d if d.ndim == 1 else d.diagonal()))
-    idx = np.arange(2**n)
-    phase = np.ones(2**n, dtype=complex)
+    frames, frame = [], 0
     for layer in sched.pulse_layers[:-1]:
         for q in layer:
-            idx ^= 1 << (n - q)
-        for shift, mask, target, diagonal in walk:
-            bits = (idx >> shift) & mask
-            if diagonal is None:
-                idx ^= bits << target
-            else:
-                phase *= diagonal[bits]
-    return phase
+            frame ^= 1 << (n - q)
+        frames.append(frame)
+    idx = np.arange(2**n) ^ np.array(frames, dtype=np.int64)[:, None]
+    gates = _interval_instructions(params, sched.interval_duration, lowering)
+    # walk[l, k]: the k-th diagonal gate's factor in interval l.  Multiplied in
+    # this layer-major order, the product is that of a walk interval by interval.
+    walk = np.empty((len(frames), sum(g.kind != "CNOT" for g in gates), 2**n), dtype=complex)
+    k = 0
+    for g in gates:
+        d = ci.gate_matrix(g)
+        if g.kind == "CNOT":  # the control bit flips the target bit
+            idx ^= ((idx >> (n - g.qubits[0])) & 1) << (n - g.qubits[1])
+        else:
+            bits = (idx >> (n - g.qubits[-1])) & (len(d) - 1)
+            walk[:, k] = (d if d.ndim == 1 else d.diagonal())[bits]
+            k += 1
+    return np.multiply.reduce(walk.reshape(-1, 2**n))
 
 
 def apply_schedule(

@@ -12,7 +12,7 @@ Two evolution routes for the same model:
 
 * ``evolve_trotter_open``: per step, the first-order split unitary
   prod_sites e^{-i eps_s Z_s dt} * prod_pairs e^{-i H_pair dt}, one factor per
-  term of ``hamiltonians.fmo_terms`` (a gate of ``trotter_program``, or for
+  term of ``hamiltonians.fmo_terms`` (the exponential of the term, or for
   ``compiled-pulses`` its ``compiler.compile_target`` schedule), then the
   noise step e^{dt D}.
 
@@ -32,12 +32,16 @@ column of rho0 holding a nonzero entry (``_support``).  This is exact.  H
 conserves the excitation number, dissipation only lowers it and dephasing
 keeps it, so every term maps |a><b| with a and b on the support into the span
 of such elements; the step unitary likewise does not couple excitation numbers
-(to roundoff for ``compiled-pulses``), so its support block is the step.  H and
-the step are built on the support alone, by applying the placed terms
-(``circuit.apply``) to the 2^n x m matrix of its basis vectors.  For ``siteK``
-the support is the n + 1 states with at most one excitation; a full-rank rho0
-has the full support of 2^n states, with the same code.  rho0 is a dense
-2^n x 2^n array, so both routes are capped at 10 sites.  Either step is a
+(to roundoff for ``compiled-pulses``), so its support block is the step.  For
+``siteK`` the support is the n + 1 states with at most one excitation; a
+full-rank rho0 has the full support of 2^n states, with the same code.  H is
+the sum of the terms' m x m support blocks (``_place``), and the ``dense-blocks``
+step the ordered product, sector by sector, of the blocks of their exponentials:
+every factor conserves the excitation number and the support is a union of
+whole sectors, so the product of blocks is the block of the product.  The
+``compiled-pulses`` step applies each schedule to the support's 2^n x m
+columns.  rho0 is a dense 2^n x 2^n array, so both routes are capped at 10
+sites.  Either step is a
 fixed linear map of the support block; the shared loop ``_record`` applies it
 as one m^2 x m^2 matvec on at most ``PROPAGATOR_MAX_STATES`` (16) states, else
 by calling the step.  Recorded blocks stay on the support; ``Trajectory`` reads
@@ -54,14 +58,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TextIO
 
 import numpy as np
 
 from . import circuit as ci
 from .compiler import _site_number, apply_schedule, compile_target
-from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo, trotter_program
+from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo
 from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
@@ -160,10 +164,33 @@ def _support(rho0: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(weight <= weight[used].max(initial=0))
 
 
-def _support_columns(support: np.ndarray, n: int) -> np.ndarray:
-    """The 2^n x m matrix whose columns are the support's basis vectors (at most 10 sites)."""
-    ci.check_unitary_register(n)
-    return (np.arange(2**n)[:, None] == support).astype(complex)
+def _place(op: np.ndarray, sites, states: np.ndarray, n: int) -> np.ndarray:
+    """The block <a|op|b>, a and b in ``states``, of the local ``op`` placed on ``sites``.
+
+    Qubit ``sites[0]`` is the most significant bit of op's index, as in
+    ``circuit.apply``; the entry is zero unless a and b agree off ``sites``.
+    A 1-d ``op`` is a phase vector and gives the block's diagonal.
+    """
+    loc, mask = 0, 0
+    for q in sites:
+        loc = 2 * loc + ((states >> (n - q)) & 1)
+        mask |= 1 << (n - q)
+    if op.ndim == 1:
+        return op[loc]
+    rest = states & ~mask
+    return op[loc].take(loc, axis=1) * (rest[:, None] == rest)
+
+
+@cache
+def _eigen(kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only (w, v) with TERMS[kind] = v diag(w) v^dag; v is None for a diagonal term."""
+    op = TERMS[kind]
+    if not np.any(op - np.diag(np.diagonal(op))):
+        return np.diagonal(op).real, None  # a view of TERMS, read-only
+    w, v = np.linalg.eigh(op)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
 
 def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
@@ -207,10 +234,12 @@ class LindbladGenerator:
         if noise.n_sites != n:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
         self.n_sites = n
-        support = np.arange(2**n) if support is None else np.asarray(support)
-        cols = _support_columns(support, n)
-        terms = (ci.apply(c * TERMS[kind], sites, cols) for kind, sites, c in fmo_terms(fmo))
-        self.h = sum(terms, np.zeros_like(cols))[support]
+        if support is None:
+            ci.check_unitary_register(n)  # before the 2^n x 2^n H is allocated
+            support = np.arange(2**n)
+        support = np.asarray(support)
+        terms = (_place(c * TERMS[kind], sites, support, n) for kind, sites, c in fmo_terms(fmo))
+        self.h = sum(terms, np.zeros((len(support),) * 2, dtype=complex))
         self.decay, self.refill = _dissipator(noise, support, n)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
@@ -446,19 +475,38 @@ def integrate_exact(
 
 
 def _step_unitary(fmo: FmoParameters, dt: float, lowering: str, support) -> np.ndarray:
-    """Support block of the step unitary: ``trotter_program``'s gates, or each term compiled
-    on ``nmr_from_fmo`` at tau = dt (coefficient dt c), applied to the support's columns.
+    """Support block of the step unitary: the product of each term's e^{-i dt c P} placed
+    on the support (``dense-blocks``), or of each term compiled on ``nmr_from_fmo`` at
+    tau = dt, applied to the support's 2^n x m columns (``compiled-pulses``, 10 sites).
     """
-    u = _support_columns(support, fmo.n_sites)
-    if lowering == "dense-blocks":
-        u = ci.apply_gates(trotter_program(fmo, dt).instructions, u)
-    elif lowering == "compiled-pulses":
-        nmr = nmr_from_fmo(fmo)
+    n, m = fmo.n_sites, len(support)
+    if lowering == "compiled-pulses":
+        ci.check_unitary_register(n)
+        u, nmr = (np.arange(2**n)[:, None] == support).astype(complex), nmr_from_fmo(fmo)
         for kind, sites, _ in fmo_terms(fmo):
             u = apply_schedule(compile_target(kind, sites, dt, nmr), nmr, u)
-    else:
+        return u[support]
+    if lowering != "dense-blocks":
         raise ValueError(f"unknown lowering {lowering!r}")
-    return u[support]
+    # Ordered by excitation number, the support is whole sectors along the
+    # diagonal, and every factor is block-diagonal on them.
+    weight = _occupations(support, n).sum(axis=0)
+    order = np.argsort(weight, kind="stable")
+    states, cuts = support[order], np.flatnonzero(np.diff(weight[order])) + 1
+    sectors = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, m])]
+    u = np.eye(m, dtype=complex)
+    for kind, sites, c in fmo_terms(fmo):
+        w, v = _eigen(kind)
+        phases = np.exp(-1j * dt * (c * w))
+        if v is None:
+            u *= _place(phases, sites, states, n)[:, None]
+            continue
+        b = _place((v * phases) @ v.conj().T, sites, states, n)
+        for s in sectors:
+            u[s, s] = b[s, s] @ u[s, s]
+    out = np.empty_like(u)
+    out[np.ix_(order, order)] = u
+    return out
 
 
 def evolve_trotter_open(
@@ -474,9 +522,10 @@ def evolve_trotter_open(
 
     Each step applies the first-order Trotter unitary, then the exact noise
     step e^{dt D} of the generator's dissipator (module docstring).  ``lowering``
-    selects how ``_step_unitary`` builds the step on the support's columns:
-    from ``trotter_program`` (``dense-blocks``) or from each term's compiled
-    X-pulse schedule (``compiled-pulses``, nearest-neighbour couplings only).
+    selects how ``_step_unitary`` builds the step on the support: as the
+    product of each term's exponential placed on it (``dense-blocks``), or
+    from each term's compiled X-pulse schedule (``compiled-pulses``,
+    nearest-neighbour couplings only).
     """
     steps, h = _step_grid(t_max, dt, record_every)
     rho0, support = _state_on_support(rho0, fmo, noise)

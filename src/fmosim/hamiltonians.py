@@ -19,10 +19,9 @@ sites.  ``TERMS`` maps ``z``, ``zz`` and ``xy`` to Z, ZZ and XX + YY; the pulse
 compiler takes the same kinds as targets.  The chain's terms exist once, as
 ``fmo_terms`` in the first-order step's factor order: pairs descending, then
 sites.  ``build_fmo_h`` places and sums them (``circuit.embed``), and
-``trotter_program`` turns each into one gate e^{-i dt term}, so its unitary
-``trotter_step`` is prod_s e^{-i dt eps_s Z_s} * prod_{pairs ascending}
-e^{-i dt H_pair}; ``trotter_unitary`` is its N-th power, whose error
-vanishes as 1/N at fixed t.
+``trotter_step`` turns each into one gate e^{-i dt term}, so its unitary is
+prod_s e^{-i dt eps_s Z_s} * prod_{pairs ascending} e^{-i dt H_pair};
+``trotter_unitary`` is its N-th power, whose error vanishes as 1/N at fixed t.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "build_nmr_h",
     "nmr_diagonal",
     "nmr_from_fmo",
-    "trotter_program",
     "trotter_step",
     "trotter_unitary",
 ]
@@ -178,18 +176,11 @@ def nmr_from_fmo(p: FmoParameters) -> NmrParameters:
     return NmrParameters(omega=omega, j=j)
 
 
-def trotter_program(p: FmoParameters, dt: float) -> ci.Program:
-    """The first-order step as one UNITARY gate e^{-i dt term} per local term."""
-    ins = [
-        ci.unitary_gate(matexp_hermitian(c * TERMS[kind], -1j * dt), sites)
-        for kind, sites, c in fmo_terms(p)
-    ]
-    return ci.Program(p.n_sites, tuple(ins))
-
-
 def trotter_step(p: FmoParameters, dt: float) -> np.ndarray:
-    """One first-order step: the unitary of ``trotter_program`` (at most 10 sites)."""
-    return ci.unitary_of(trotter_program(p, dt))
+    """One first-order step: one UNITARY gate e^{-i dt term} per local term (at most 10 sites)."""
+    ins = (ci.unitary_gate(matexp_hermitian(c * TERMS[kind], -1j * dt), sites)
+           for kind, sites, c in fmo_terms(p))
+    return ci.unitary_of(ci.Program(p.n_sites, tuple(ins)))
 
 
 def trotter_unitary(p: FmoParameters, t: float, n_steps: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each file under tests/golden/ is the output of one ``fmosim`` command, listed in
-``CASES`` as (file name, argv).  A change that alters an output reruns this
+Each file under tests/golden/, except this script and the ``config-*.json``
+inputs, is the output of one ``fmosim`` command, listed in ``CASES`` as
+(file name, argv).  A change that alters an output reruns this
 script and names the changed files and the reason in CHANGES.md.
 """
 
@@ -16,16 +17,24 @@ from fmosim import cli
 
 GOLDEN = Path(__file__).resolve().parent
 EXAMPLE = str(GOLDEN.parent.parent / "configs" / "example.json")
-EVOLVE = ["evolve", "--config", EXAMPLE, "--record-every", "5"]  # the example starts from site1
+TWO = str(GOLDEN / "config-1100000.json")  # the example from 1100000: 29 support states
+
+
+def evolve_cases(config: str, suffix: str) -> list:
+    """Every method x lowering of ``evolve`` on ``config`` at --record-every 5."""
+    argv = ["evolve", "--config", config, "--record-every", "5"]
+    return [(f"evolve-exact{suffix}.csv", argv + ["--method", "exact"])] + [
+        (f"evolve-{method}-{lowering}{suffix}.csv",
+         argv + ["--method", method, "--lowering", lowering])
+        for method in ("trotter", "both")
+        for lowering in ("dense-blocks", "compiled-pulses")
+    ]
+
 
 CASES = [
     (f"channel-{kind}.json", ["channel", kind, "--rate", "0.5", "--time", "0.3"])
     for kind in ("dissipation", "dephasing-paper", "dephasing-corrected")
-] + [("evolve-exact.csv", EVOLVE + ["--method", "exact"])] + [
-    (f"evolve-{method}-{lowering}.csv", EVOLVE + ["--method", method, "--lowering", lowering])
-    for method in ("trotter", "both")
-    for lowering in ("dense-blocks", "compiled-pulses")
-]
+] + evolve_cases(EXAMPLE, "") + evolve_cases(TWO, "-1100000")
 
 
 def main() -> int:

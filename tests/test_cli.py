@@ -32,6 +32,7 @@ from fmosim.compiler import (
 from fmosim.dynamics import Trajectory, evolve_trotter_open, initial_density, integrate_exact
 from fmosim.hamiltonians import NmrParameters
 from fmosim.qcore import trace_distance
+from textcompare import assert_same_text
 
 BASE = {
     "schema_version": 1,
@@ -291,7 +292,7 @@ def test_evolve_state_file_is_json_dumps_of_the_full_states(tmp_path):
         "states": [np.stack([s.real, s.imag], -1).tolist() for s in traj.states],
     }
     assert len(want["states"]) == 3
-    assert states.read_bytes() == (json.dumps(want) + "\n").encode()
+    assert_same_text(states.read_bytes(), (json.dumps(want) + "\n").encode())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

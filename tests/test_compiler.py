@@ -21,6 +21,8 @@ from fmosim.compiler import (
     ConjugatedSchedule,
     PulseSchedule,
     Segment,
+    _flat_phases,
+    _interval_instructions,
     apply_schedule,
     check_sign_matrix,
     compile_single_z,
@@ -489,6 +491,37 @@ def test_apply_schedule_matches_the_dense_circuit(n, lowering):
         got = apply_schedule(sched, p, u, lowering)
         assert got.shape == (2**n, k)
         assert np.abs(got - want).max() <= 1e-13, (sched.target, lowering)
+
+
+def interval_walk_phases(sched, params, lowering):
+    """Reference: the phase walk of a flat schedule run interval by interval."""
+    n = sched.n_qubits
+    idx, phase = np.arange(2**n), np.ones(2**n, dtype=complex)
+    gates = _interval_instructions(params, sched.interval_duration, lowering)
+    for layer in sched.pulse_layers[:-1]:
+        for q in layer:
+            idx ^= 1 << (n - q)
+        for g in gates:
+            d = ci.gate_matrix(g)
+            if g.kind == "CNOT":
+                idx ^= ((idx >> (n - g.qubits[0])) & 1) << (n - g.qubits[1])
+            else:
+                bits = (idx >> (n - g.qubits[-1])) & (len(d) - 1)
+                phase *= (d if d.ndim == 1 else d.diagonal())[bits]
+    return phase
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_batched_phase_walk_is_the_interval_walk_bit_for_bit(seed):
+    p = params7(seed)
+    targets = [("z", (l,)) for l in range(1, 8)] + [("xy", (l, l + 1)) for l in range(1, 7)]
+    for tau in (0.25, 0.7316, 1.3):
+        for kind, sites in targets:
+            for seg in compile_target(kind, sites, tau, p).segments:
+                for lowering in ("opaque", "gates"):
+                    want = interval_walk_phases(seg.schedule, p, lowering)
+                    got = _flat_phases(seg.schedule, p, lowering)
+                    assert got.tobytes() == want.tobytes(), (kind, sites, tau, lowering)
 
 
 # --- lowering modes ------------------------------------------------------------

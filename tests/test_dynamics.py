@@ -40,6 +40,7 @@ from fmosim.hamiltonians import (
     trotter_step,
 )
 from fmosim.qcore import SX, SY, SZ, matexp_hermitian, pauli_embed, trace_distance
+from textcompare import assert_same_text
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 NP_ = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -648,8 +649,8 @@ def test_block_writers_match_the_scattered_writers(n, label):
     extra = {"trace_distance": rng.random(3)}
     text = state_json(traj)
     assert "[-0.0, " in text and ", -0.0]" in text
-    assert text == reference_state_json(traj)
-    assert traj.to_csv(extra) == reference_csv(traj, extra)
+    assert_same_text(text, reference_state_json(traj))
+    assert_same_text(traj.to_csv(extra), reference_csv(traj, extra))
 
 
 class CharCount:
@@ -697,11 +698,11 @@ def test_recorded_blocks_match_the_scattered_writers(n, label):
         full_td = [trace_distance(a, b) for a, b in zip(scattered(digital), scattered(exact))]
         assert np.abs(np.array(block_td) - full_td).max() <= 1e-15
         extra = {"trace_distance": np.array(block_td)}
-        assert digital.to_csv(extra) == reference_csv(digital, extra)
-        assert state_json(digital) == reference_state_json(digital)
+        assert_same_text(digital.to_csv(extra), reference_csv(digital, extra))
+        assert_same_text(state_json(digital), reference_state_json(digital))
     assert len(exact.times) == 5
-    assert exact.to_csv() == reference_csv(exact, {})
-    assert state_json(exact) == reference_state_json(exact)
+    assert_same_text(exact.to_csv(), reference_csv(exact, {}))
+    assert_same_text(state_json(exact), reference_state_json(exact))
 
 
 def test_states_scatter_on_first_access_only():
@@ -1012,7 +1013,7 @@ def test_step_budget_refuses_before_stepping(route, monkeypatch):
         run_route(route, rho0, fmo, noise, 1e6, 1e-6, 10**12)
 
 
-# --- H and the step unitary built on the support's columns ----------------------------
+# --- H and the step unitary built on the support ----------------------------------------
 
 
 def support_cases(n, rng):
@@ -1038,6 +1039,51 @@ def test_support_builds_match_the_cut_full_space_builds(n):
         assert np.abs(_step_unitary(fmo, dt, "dense-blocks", s) - step[cut]).max() <= 1e-14
         got = _step_unitary(chain, dt, "compiled-pulses", s)
         assert np.abs(got - replay[cut]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_support_placement_is_the_cut_embedded_operator(n):
+    rng = np.random.default_rng(1900 + n)
+    sites = [(q,) for q in range(1, n + 1)]
+    if n >= 2:
+        pair = tuple(int(q) for q in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        sites += [(1, 2), (2, 1), (1, n), (n, 1), pair]  # (1, n) is non-adjacent from n = 3
+    supports = support_cases(n, rng)
+    weight = dynamics._occupations(np.arange(2**n), n).sum(axis=0)
+    supports.append(np.flatnonzero(weight == 1))  # one sector alone
+    for s in supports:
+        for q in sites:
+            dim = 2 ** len(q)
+            matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+            for op in (matrix, phases):
+                got = dynamics._place(op, q, s, n)
+                want = ci.embed(op, q, n)[np.ix_(s, s)]
+                assert np.array_equal(np.diag(got) if op.ndim == 1 else got, want), (s, q)
+
+
+def test_support_builds_past_ten_sites_are_the_single_excitation_matrices():
+    # On |0...0> and |j> (site j excited), Z_s is +1 or -1 and XX + YY swaps |j>
+    # and |l> with amplitude 2, so H and each step factor are known at any n.
+    n, dt = 30, 0.05
+    fmo, noise = chain_fmo(n, seed=30), NoiseParameters.uniform(n, 0.05, 0.05)
+    support = np.array([0] + [1 << (n - j) for j in range(n, 0, -1)])  # ground, site n, ..., site 1
+    site = [0] + list(range(n, 0, -1))  # the excited site of each support state, 0 for ground
+    h = np.diag([fmo.epsilon.sum() - 2 * (fmo.epsilon[j - 1] if j else 0) for j in site])
+    for j, l in fmo.coupled_pairs():
+        a, b = site.index(j), site.index(l)
+        h[a, b] = h[b, a] = 4 * fmo.nu[j - 1, l - 1]
+    assert np.abs(LindbladGenerator(fmo, noise, support).h - h).max() <= 1e-14
+    step = np.eye(n + 1, dtype=complex)
+    for kind, sites, c in fmo_terms(fmo):
+        factor = np.eye(n + 1, dtype=complex)
+        if kind == "z":
+            factor = np.diag([np.exp(-1j * dt * c * (-1 if j == sites[0] else 1)) for j in site])
+        else:
+            ab = [site.index(q) for q in sites]
+            factor[np.ix_(ab, ab)] = matexp_hermitian(2 * c * SX, -1j * dt)
+        step = factor @ step
+    assert np.abs(_step_unitary(fmo, dt, "dense-blocks", support) - step).max() <= 1e-14
 
 
 @pytest.mark.parametrize("route", ROUTES)
