@@ -271,26 +271,29 @@ def gate_matrix(g: Gate) -> np.ndarray:
 # One kernel, ``apply``, places every local operator on a 2^n x k matrix.  It
 # views the matrix as a tensor with one axis per qubit (qubit 1 first) and one
 # for the k columns, moves the target axes next to each other at the position
-# of the first of them (a no-op for ascending neighbours), multiplies the
-# contiguous (2^lo, 2^k, rest) view by the 2^k x 2^k operator with one matmul
-# (a phase vector elementwise), and moves the axes back.  ``apply_gates`` is the
+# of the first of them, multiplies the contiguous (2^lo, 2^k, rest) view by the
+# 2^k x 2^k operator with one matmul (a phase vector elementwise), and moves the
+# axes back; for ascending neighbours (a 1-qubit gate, CNOT l,l+1, a phase
+# vector on all qubits) both moves are no-ops and are skipped.  ``apply_gates`` is the
 # one gate loop.  A density matrix stays 2^n x 2^n: ``operator_sum`` takes
 # K rho K^dag as (K (K rho)^dag)^dag, two calls of ``apply``, and ``run_density``
 # sends gates and Kraus channels alike through it.
 
 
 def apply(op: np.ndarray, qubits: Sequence[int], u: np.ndarray) -> np.ndarray:
-    """``op`` placed on ``qubits`` times ``u``, a 2^n x k array; a 1-d ``op`` is a phase vector."""
+    """``op`` placed on ``qubits`` times ``u``, a 2^n x k array; a 1-d ``op`` is a phase vector.
+    Ascending neighbouring ``qubits`` skip both ``moveaxis`` calls."""
     n, qubits = len(u).bit_length() - 1, tuple(qubits)
     if len(u) != 1 << n or len(set(qubits)) != len(qubits) or any(not 1 <= q <= n for q in qubits):
         raise ValueError(f"qubits {qubits} are repeated or outside register 1..{n}")
     k, axes = len(qubits), [q - 1 for q in qubits]
     lo = min(axes)
     block = list(range(lo, lo + k))
-    t = np.moveaxis(u.reshape((2,) * n + (-1,)), axes, block)
+    moved = axes != block
+    t = np.moveaxis(u.reshape((2,) * n + (-1,)), axes, block) if moved else u
     t3 = t.reshape(2**lo, 2**k, -1)
     out = op[:, None] * t3 if op.ndim == 1 else np.matmul(op, t3)
-    return np.moveaxis(out.reshape(t.shape), block, axes).reshape(len(u), -1)
+    return (np.moveaxis(out.reshape(t.shape), block, axes) if moved else out).reshape(len(u), -1)
 
 
 def apply_gates(gates: Sequence[Instruction], u: np.ndarray) -> np.ndarray:
@@ -440,30 +443,33 @@ def _fmt_matrix_rows(m: np.ndarray, indent: str = "  ") -> list[str]:
     return [indent + " ".join(_fmt_complex(z) for z in row) for row in m]
 
 
+def _instruction_lines(ins: Instruction) -> list[str]:
+    if isinstance(ins, KrausApply):
+        ch = ins.channel
+        head = f"KRAUS {ins.qubit} ops={len(ch.ops)} cptp={ch.cptp}"
+        if ch.angles is not None:
+            head += " angles={:.17g},{:.17g}".format(*ch.angles)
+        return [f"{head} provenance={ch.provenance} :"] + sum(map(_fmt_matrix_rows, ch.ops), [])
+    if isinstance(ins, MeasureAndDiscard):
+        return [f"MEASURE_DISCARD {ins.qubit}"]
+    targets = " ".join(str(q) for q in ins.qubits)
+    if ins.kind == "UNITARY":
+        check_unitary_register(len(ins.qubits))  # a phase vector is written dense
+        m = ins.matrix
+        return [f"UNITARY {targets} :"] + _fmt_matrix_rows(np.diag(m) if m.ndim == 1 else m)
+    angle = "" if ins.angle is None else f"({ins.angle:.17g})"
+    return [f"{ins.kind}{angle} {targets}"]
+
+
 def export_text(program: Program) -> str:
+    """The program as text.  Each distinct instruction object is formatted once:
+    a schedule's program repeats the same interval gates in every interval."""
     lines = [f"# fmosim circuit, {program.n_qubits} qubit(s)", f"QUBITS {program.n_qubits}"]
+    formatted: dict[int, list[str]] = {}  # by id(); the program keeps every instruction alive
     for ins in program.instructions:
-        if isinstance(ins, Gate):
-            targets = " ".join(str(q) for q in ins.qubits)
-            if ins.kind == "UNITARY":
-                check_unitary_register(len(ins.qubits))  # a phase vector is written dense
-                lines.append(f"UNITARY {targets} :")
-                m = ins.matrix
-                lines.extend(_fmt_matrix_rows(np.diag(m) if m.ndim == 1 else m))
-            elif ins.angle is not None:
-                lines.append(f"{ins.kind}({ins.angle:.17g}) {targets}")
-            else:
-                lines.append(f"{ins.kind} {targets}")
-        elif isinstance(ins, KrausApply):
-            ch = ins.channel
-            head = f"KRAUS {ins.qubit} ops={len(ch.ops)} cptp={ch.cptp}"
-            if ch.angles is not None:
-                head += " angles={:.17g},{:.17g}".format(*ch.angles)
-            lines.append(f"{head} provenance={ch.provenance} :")
-            for k in ch.ops:
-                lines.extend(_fmt_matrix_rows(k))
-        else:
-            lines.append(f"MEASURE_DISCARD {ins.qubit}")
+        if id(ins) not in formatted:
+            formatted[id(ins)] = _instruction_lines(ins)
+        lines += formatted[id(ins)]
     return "\n".join(lines) + "\n"
 
 

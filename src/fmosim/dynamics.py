@@ -58,14 +58,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
 
 from . import circuit as ci
 from .compiler import _site_number, apply_schedule, compile_target
-from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo
+from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo, term_eigen
 from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
@@ -179,18 +179,6 @@ def _place(op: np.ndarray, sites, states: np.ndarray, n: int) -> np.ndarray:
         return op[loc]
     rest = states & ~mask
     return op[loc].take(loc, axis=1) * (rest[:, None] == rest)
-
-
-@cache
-def _eigen(kind: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read-only (w, v) with TERMS[kind] = v diag(w) v^dag; v is None for a diagonal term."""
-    op = TERMS[kind]
-    if not np.any(op - np.diag(np.diagonal(op))):
-        return np.diagonal(op).real, None  # a view of TERMS, read-only
-    w, v = np.linalg.eigh(op)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
 
 
 def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
@@ -496,12 +484,11 @@ def _step_unitary(fmo: FmoParameters, dt: float, lowering: str, support) -> np.n
     sectors = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, m])]
     u = np.eye(m, dtype=complex)
     for kind, sites, c in fmo_terms(fmo):
-        w, v = _eigen(kind)
-        phases = np.exp(-1j * dt * (c * w))
-        if v is None:
-            u *= _place(phases, sites, states, n)[:, None]
+        w, v, d = term_eigen(kind)
+        if d is not None:
+            u *= _place(np.exp(-1j * dt * (c * d)), sites, states, n)[:, None]
             continue
-        b = _place((v * phases) @ v.conj().T, sites, states, n)
+        b = _place((v * np.exp(-1j * dt * (c * w))) @ v.conj().T, sites, states, n)
         for s in sectors:
             u[s, s] = b[s, s] @ u[s, s]
     out = np.empty_like(u)

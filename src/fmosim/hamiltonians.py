@@ -22,11 +22,14 @@ sites.  ``build_fmo_h`` places and sums them (``circuit.embed``), and
 ``trotter_step`` turns each into one gate e^{-i dt term}, so its unitary is
 prod_s e^{-i dt eps_s Z_s} * prod_{pairs ascending} e^{-i dt H_pair};
 ``trotter_unitary`` is its N-th power, whose error vanishes as 1/N at fixed t.
+``term_eigen`` caches one eigendecomposition per kind, which the ``dense-blocks``
+step and the compiler's targets (``term_exp``) share instead of an ``eigh`` per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -36,6 +39,8 @@ from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it 
 
 __all__ = [
     "TERMS",
+    "term_eigen",
+    "term_exp",
     "FmoParameters",
     "NmrParameters",
     "fmo_terms",
@@ -49,6 +54,25 @@ __all__ = [
 
 # The local Pauli operator of each term kind, on its one or two sites.
 TERMS = {"z": SZ, "zz": np.kron(SZ, SZ), "xy": np.kron(SX, SX) + np.kron(SY, SY)}
+
+
+@cache
+def term_eigen(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Read-only (w, v, d): TERMS[kind] = v diag(w) v^dag from the ``eigh`` that
+    ``matexp_hermitian`` runs, and d the real diagonal of a diagonal term, else None."""
+    op = TERMS[kind]
+    w, v = np.linalg.eigh(op)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    diagonal = not np.any(op - np.diag(np.diagonal(op)))
+    return w, v, np.diagonal(op).real if diagonal else None
+
+
+def term_exp(kind: str, c: float) -> np.ndarray:
+    """e^{-i c TERMS[kind]}: bit for bit ``matexp_hermitian(TERMS[kind], -1j * c)``,
+    from the cached eigensystem instead of an ``eigh`` and a Hermitian check per call."""
+    w, v, _ = term_eigen(kind)
+    return (v * np.exp(-1j * c * w)) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)

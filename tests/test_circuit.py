@@ -258,6 +258,36 @@ def test_matmul_kernel_matches_tensordot_kernel():
             assert got.shape == want.shape and np.abs(got - want).max() <= 1e-12
 
 
+def moveaxis_apply(op, qubits, u):
+    """Reference: ``circuit.apply`` with both ``moveaxis`` calls, for any placement."""
+    n, k, axes = len(u).bit_length() - 1, len(qubits), [q - 1 for q in qubits]
+    block = list(range(min(axes), min(axes) + k))
+    t = np.moveaxis(u.reshape((2,) * n + (-1,)), axes, block)
+    t3 = t.reshape(2 ** min(axes), 2**k, -1)
+    out = op[:, None] * t3 if op.ndim == 1 else np.matmul(op, t3)
+    return np.moveaxis(out.reshape(t.shape), block, axes).reshape(len(u), -1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ascending_neighbour_placement_is_the_moveaxis_form_bit_for_bit(n):
+    """The no-move path of ``apply`` (ascending neighbours) against the general form:
+    matrices and phase vectors, on C-contiguous matrices and on the transposed
+    conjugate views that ``operator_sum`` passes."""
+    rng = np.random.default_rng(90 + n)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    inputs = [a, a.conj().T, a[:, ::2]]
+    assert not (inputs[1].flags.c_contiguous or inputs[2].flags.c_contiguous)
+    for lo in range(1, n + 1):
+        for k in range(1, n - lo + 2):
+            qubits = tuple(range(lo, lo + k))
+            ops = [rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)),
+                   np.exp(1j * rng.uniform(-np.pi, np.pi, 2**k))]
+            for op in ops:
+                for u in inputs:
+                    got, want = ci.apply(op, qubits, u), moveaxis_apply(op, qubits, u)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), qubits
+
+
 # --- a diagonal UNITARY held as its phase vector ----------------------------------
 
 

@@ -312,6 +312,55 @@ def test_evolve_write_failing_midway_exits_2(flag):
     assert line.startswith("error:") and f"[Errno {errno.ENOSPC}]" in line
 
 
+def test_a_write_failing_partway_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch, capsys):
+    """``evolve --states`` whose writer raises after writing part of the document:
+    exit 2, the old file unchanged, its mode kept, and no temporary file left."""
+    cfgp = write_config(tmp_path, BASE)
+    states = tmp_path / "s.json"
+    states.write_text("old\n")
+    states.chmod(0o640)
+
+    def cut_short(traj, fh):
+        fh.write('{"method": "exact", "times": [0.0')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Trajectory, "to_state_json", cut_short)
+    assert main(["evolve", "--config", cfgp, "--out", str(tmp_path / "t.csv"),
+                 "--states", str(states)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert states.read_text() == "old\n" and states.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "s.json", "t.csv"]
+
+
+def test_outputs_get_the_mode_open_gives_and_write_through_symlinks(tmp_path, capsys):
+    """A new output gets 0o666 less the umask, an existing one keeps its mode, as
+    ``open(path, "w")`` gives (not the 0o600 of a temporary file); a path in a
+    missing directory fails naming that path; a symlinked output is written at
+    its target and stays a link."""
+    argv = ["channel", "dissipation", "--rate", "0.5", "--time", "0.3", "--out"]
+    old = os.umask(0o027)
+    try:
+        assert main(argv + [str(tmp_path / "new.json")]) == 0
+        with open(tmp_path / "opened.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "opened.json").stat().st_mode
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    kept.chmod(0o604)
+    assert main(argv + [str(kept)]) == 0
+    assert kept.stat().st_mode & 0o777 == 0o604
+    assert kept.read_text() == (tmp_path / "new.json").read_text()
+    assert main(argv + [str(tmp_path / "missing" / "x.json")]) == 2
+    assert f"'{tmp_path / 'missing' / 'x.json'}'" in capsys.readouterr().err
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "target.json")
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and (tmp_path / "target.json").read_text() == kept.read_text()
+
+
 def test_evolve_both_refuses_routes_on_different_supports(tmp_path, monkeypatch, capsys):
     real = cli.integrate_exact
 

@@ -524,6 +524,47 @@ def test_batched_phase_walk_is_the_interval_walk_bit_for_bit(seed):
                     assert got.tobytes() == want.tobytes(), (kind, sites, tau, lowering)
 
 
+@pytest.mark.parametrize("lowering", ["opaque", "gates"])
+def test_apply_schedule_walks_a_shared_flat_schedule_once(lowering, monkeypatch):
+    """An xy schedule's two segments share one zz schedule, also once read back from
+    JSON (equal, not identical): one phase walk, and the per-segment result bit for bit."""
+    import fmosim.compiler as compiler
+
+    p = params7(5)
+    sched = compile_xy((3, 4), 0.7316, p)
+    u = np.random.default_rng(8).normal(size=(2**7, 3)) + 0j
+    want = u
+    for seg in sched.segments:
+        phases = _flat_phases(seg.schedule, p, lowering)
+        want = ci.apply_gates(seg.pre, want)
+        want = ci.apply_gates(seg.post, ci.apply(phases, range(1, 8), want))
+    walks = []
+    monkeypatch.setattr(compiler, "_flat_phases", lambda *a: walks.append(a) or _flat_phases(*a))
+    for same in (sched, schedule_from_json(schedule_to_json(sched))):
+        walks.clear()
+        got = apply_schedule(same, p, u, lowering)
+        assert len(walks) == 1 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lowering", ["opaque", "gates"])
+def test_verify_norm_error_is_the_largest_block_two_norm(lowering, monkeypatch):
+    """On a broken schedule, whose blocks differ, ``norm_error`` is exactly
+    ``np.linalg.norm(u - v, 2, axis=(1, 2)).max()`` of the stacked blocks it compares."""
+    p = params7(4)
+    good = compile_xy((2, 3), 0.7316, p)
+    flat = good.segments[0].schedule
+    broken = dataclasses.replace(flat, pulse_layers=((), (1, 5), (), (1, 5), ()))
+    sched = ConjugatedSchedule(7, good.target, (dataclasses.replace(good.segments[0], schedule=broken),))
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+    report = verify_schedule(sched, p, lowering)
+    monkeypatch.undo()
+    [blocks] = seen
+    norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+    assert not report.passed and np.ptp(norms) > 1e-3
+    assert report.norm_error == norms.max()
+
+
 # --- lowering modes ------------------------------------------------------------
 
 

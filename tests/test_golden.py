@@ -1,22 +1,28 @@
-"""Golden outputs: each command of tests/golden/regenerate.py, rerun through
-cli.main, reproduces its checked-in file.
+"""Golden outputs: each case of tests/golden/regenerate.py, rerun through
+cli.main, reproduces its checked-in files.
 
-Keys, strings (the embedded circuit text among them), booleans and nulls must
-match exactly; numbers within 1e-12, so that a different BLAS cannot fail it.
-A CSV's header line must match exactly, and its cells as numbers.
+In a JSON report or a CSV, keys, strings (the embedded circuit text among
+them), booleans and nulls must match exactly; numbers within 1e-12, so that a
+different BLAS cannot fail it.  A CSV's header line must match exactly, and its
+cells as numbers.  A compile case's schedule JSON and circuit text must match
+byte for byte, and its summary lines as text, except ``norm_error`` and
+``fidelity``, which are roundoff and must agree within 1e-12.
 """
 
 import json
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-from fmosim import cli
+from textcompare import assert_same_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = runpy.run_path(str(GOLDEN / "regenerate.py"))["CASES"]
+REGENERATE = runpy.run_path(str(GOLDEN / "regenerate.py"))
+CASES, run_case = REGENERATE["CASES"], REGENERATE["run_case"]
 NUMBER_ATOL = 1e-12
+ROUNDOFF = re.compile(r"(norm_error|fidelity)=(\S+)")
 
 
 def assert_same(got, want, where="$"):
@@ -35,8 +41,18 @@ def assert_same(got, want, where="$"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def summary_lines(text: str) -> list:
+    """Each line with its roundoff fields blanked, followed by their values."""
+    return [[ROUNDOFF.sub(r"\1=?", line)] + [float(v) for _, v in ROUNDOFF.findall(line)]
+            for line in text.splitlines()]
+
+
 def parse(path: Path):
-    """A JSON file as its document; a CSV as its header line plus rows of floats."""
+    """A compile case's summary as ``summary_lines`` and its schedule or circuit
+    as bytes; a report JSON as its document; a CSV as its header line plus rows
+    of floats."""
+    if path.name.startswith("compile-"):
+        return summary_lines(path.read_text()) if path.suffix == ".out" else path.read_bytes()
     text = path.read_text()
     if path.suffix == ".json":
         return json.loads(text)
@@ -46,7 +62,9 @@ def parse(path: Path):
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_output_matches_golden_file(name, argv, tmp_path):
-    out = tmp_path / name
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    assert_same(parse(out), parse(GOLDEN / name))
-
+    for written in run_case(name, argv, tmp_path):
+        got, want = parse(tmp_path / written), parse(GOLDEN / written)
+        if isinstance(want, bytes):
+            assert_same_text(got, want)
+        else:
+            assert_same(got, want, written)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from fmosim.hamiltonians import (
+    TERMS,
     FmoParameters,
     NmrParameters,
     build_fmo_h,
     build_nmr_h,
     nmr_diagonal,
     nmr_from_fmo,
+    term_eigen,
+    term_exp,
     trotter_unitary,
 )
 from fmosim.qcore import SX, SY, SZ, is_hermitian, is_unitary, matexp_hermitian, pauli_embed
@@ -190,3 +193,14 @@ class TestTrotter:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             trotter_unitary(chain_fmo(2), 1.0, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(TERMS))
+def test_cached_term_exponential_is_matexp_hermitian_bit_for_bit(kind):
+    rng = np.random.default_rng(7)
+    for c in [0.0, -0.0, 1.0, -2.5, 1e-9, 37.0] + list(rng.uniform(-10, 10, 300)):
+        want = matexp_hermitian(TERMS[kind], -1j * c)
+        assert term_exp(kind, c).tobytes() == want.tobytes(), c
+    w, v, d = term_eigen(kind)
+    assert not (w.flags.writeable or v.flags.writeable)
+    assert (d is None) == (kind == "xy")
