@@ -2,9 +2,9 @@
 
 The package has three layers:
 
-- ``qcore`` / ``circuit``: dense linear algebra, a small gate-level IR with
-  one Kraus channel type, statevector and density-matrix simulators, and a
-  text serialization format.
+- ``qcore`` / ``circuit``: dense linear algebra (with the dense-register cap
+  and basis labels), a small gate-level IR with one Kraus channel type,
+  statevector and density-matrix simulators, and a text serialization format.
 - ``hamiltonians`` / ``compiler``: the FMO and Ising-chain Hamiltonians, and a
   pulse compiler that turns single-Z, ZZ and XX+YY evolution targets into
   X-pulse re/decoupling schedules synthesized from Hadamard sign matrices.
@@ -14,7 +14,9 @@ The package has three layers:
   gate/channel pipeline and as a brute-force Lindblad integrator.
 
 ``cli`` exposes the ``fmosim`` command with ``compile``, ``verify``,
-``evolve`` and ``channel`` subcommands.
+``evolve`` and ``channel`` subcommands; ``schema`` checks their input
+documents.  Each command loads only the modules it runs: ``evolve`` and a
+config load need neither ``compiler``, ``circuit`` nor ``channels``.
 """
 
 __version__ = "0.1.0"

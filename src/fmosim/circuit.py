@@ -35,6 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .qcore import CPTP_VERIFIED_ATOL, SX, UNITARY_ATOL, is_unitary
+from .qcore import RegisterTooLarge, check_unitary_register, parse_basis_label  # re-exported
 
 logger = logging.getLogger(__name__)
 
@@ -311,21 +312,6 @@ def embed(op: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     return apply(op, qubits, np.eye(2**n, dtype=complex))
 
 
-def parse_basis_label(init: str | int, n: int) -> np.ndarray:
-    """Statevector of a computational-basis label ('0110...', or flat index)."""
-    if isinstance(init, str):
-        if len(init) != n or set(init) - {"0", "1"}:
-            raise ValueError(f"basis label must be {n} characters of 0/1")
-        idx = int(init, 2)
-    else:
-        idx = int(init)
-        if not 0 <= idx < 2**n:
-            raise ValueError("basis index out of range")
-    psi = np.zeros(2**n, dtype=complex)
-    psi[idx] = 1.0
-    return psi
-
-
 def run_statevector(program: Program, init: str | int | np.ndarray = 0) -> np.ndarray:
     """Evolve a pure state through a unitary-only program."""
     n = program.n_qubits
@@ -395,21 +381,6 @@ def operator_sum(
 
 def _others(q: int, n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if j != q)
-
-
-class RegisterTooLarge(ValueError):
-    """A dense 2^n x 2^n matrix was asked for on more than 10 qubits."""
-
-
-def check_unitary_register(n: int) -> None:
-    """Refuse a dense 2^n x 2^n matrix on more than 10 qubits.
-
-    Every function outside ``qcore`` that allocates a matrix of 2^n rows and
-    more than one column from a register size n calls it first, so no route
-    builds one over 10 qubits; a statevector is not capped.
-    """
-    if n > 10:
-        raise RegisterTooLarge(f"dense 2^n x 2^n matrices capped at 10 qubits, got {n}")
 
 
 def unitary_of(program: Program) -> np.ndarray:

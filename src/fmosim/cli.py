@@ -13,8 +13,16 @@ Subcommands:
 * ``channel``: print the report (and circuit, when realizable) of a noise
   channel.
 
-``parse_config`` checks a run configuration with the schedule reader's field
-checker, so a schema error of either document is a ``compiler.ConfigError``.
+``parse_config`` checks a run configuration with ``schema``'s field checker,
+which the schedule reader shares, so a schema error of either document is a
+``schema.ConfigError`` (also importable as ``compiler.ConfigError``).
+
+Each command loads only the modules it runs: ``evolve`` and ``load_config``
+need ``dynamics``, ``hamiltonians``, ``qcore`` and ``schema``; ``compile`` and
+``verify`` add ``compiler`` and ``circuit``, ``channel`` adds ``channels``
+(``evolve --lowering compiled-pulses`` loads the compiler from ``dynamics``).
+The compiler's names below are bound into this module on first use, by
+``_bind_compiler`` or an attribute lookup, and are patchable once bound.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 verification
 failure.  All commands are deterministic given their inputs.
@@ -34,25 +42,6 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from . import circuit as ci
-from .channels import (
-    channel_circuit,
-    channel_report,
-    dephasing_kraus_corrected,
-    dephasing_kraus_paper,
-    dissipation_kraus,
-)
-from .compiler import (
-    ConfigError,
-    _json,
-    _json_object,
-    compile_target,
-    parse_target,
-    schedule_from_json,
-    schedule_program,
-    schedule_to_json,
-    verify_schedule,
-)
 from .dynamics import (
     NoiseParameters,
     evolve_trotter_open,
@@ -60,7 +49,27 @@ from .dynamics import (
     integrate_exact,
 )
 from .hamiltonians import FmoParameters, NmrParameters, nmr_from_fmo
-from .qcore import trace_distance
+from .qcore import RegisterTooLarge, trace_distance
+from .schema import ConfigError, _json, _json_object
+
+_COMPILER_NAMES = ("compile_target", "parse_target", "schedule_from_json",
+                   "schedule_program", "schedule_to_json", "verify_schedule")
+
+
+def _bind_compiler() -> None:
+    """Bind each compiler name not yet bound here (a patched name is kept)."""
+    from . import compiler
+
+    for name in _COMPILER_NAMES:
+        globals().setdefault(name, getattr(compiler, name))
+
+
+def __getattr__(name: str):
+    if name not in _COMPILER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_compiler()
+    return globals()[name]
+
 
 SCHEMA_VERSION = 1
 
@@ -239,6 +248,9 @@ def _write(path: str | None, write: Callable[[TextIO], object]) -> None:
 
 
 def cmd_compile(args) -> int:
+    from . import circuit as ci
+
+    _bind_compiler()
     cfg = load_config(args.config)
     sched = compile_target(*parse_target(args.target), args.tau, cfg.nmr)
     report = verify_schedule(sched, cfg.nmr)
@@ -253,6 +265,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind_compiler()
     cfg = load_config(args.config)
     try:
         with open(args.schedule, encoding="utf-8") as fh:
@@ -269,7 +282,7 @@ def cmd_evolve(args) -> int:
     method = args.method or cfg.method
     try:
         rho0 = initial_density(cfg.initial_state, cfg.fmo.n_sites)
-    except ci.RegisterTooLarge:
+    except RegisterTooLarge:
         raise
     except ValueError as exc:
         raise ConfigError(f"config.evolution.initial_state: {exc}") from None
@@ -301,18 +314,20 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    from . import channels, circuit as ci
+
     makers = {
-        "dissipation": dissipation_kraus,
-        "dephasing-paper": dephasing_kraus_paper,
-        "dephasing-corrected": dephasing_kraus_corrected,
+        "dissipation": channels.dissipation_kraus,
+        "dephasing-paper": channels.dephasing_kraus_paper,
+        "dephasing-corrected": channels.dephasing_kraus_corrected,
     }
     try:
         ch = makers[args.kind](args.rate, args.time)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    report = channel_report(ch)
+    report = channels.channel_report(ch)
     try:
-        report["circuit"] = ci.export_text(channel_circuit(ch))
+        report["circuit"] = ci.export_text(channels.channel_circuit(ch))
     except ValueError:
         report["circuit"] = None
         report["circuit_note"] = (

@@ -43,16 +43,14 @@ segment by segment, each flat schedule as its phase vector; the
 ``compiled-pulses`` step and ``verify_schedule`` both apply it.  The target
 unitary is ``hamiltonians.term_exp``, from a cached eigendecomposition.
 
-``_json`` and ``_json_object`` check every input document, schedules here and
-run configurations in ``cli.parse_config``; a schema error names the field's
-path and is a ``ConfigError``.
+``schedule_from_json`` checks its document with ``schema``'s field checker, so
+a schema error names the field's path and is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +59,7 @@ from . import circuit as ci
 from .hamiltonians import TERMS, NmrParameters, nmr_diagonal, term_exp
 from .qcore import SCHEDULE_VERIFY_ATOL, phase_align
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
+from .schema import ConfigError, _json, _json_ints, _json_list, _json_object, _site_number
 
 __all__ = [
     "hadamard_matrix",
@@ -271,14 +270,6 @@ def schedule_from_sign_matrix(
 def _descriptor(kind: str, sites: tuple[int, ...], tau: float, params: NmrParameters) -> str:
     coeff = _coefficient(kind, sites, tau, params)
     return f"{kind}:{','.join(str(q) for q in sites)} coeff={coeff:.17g}"
-
-
-def _site_number(text: str) -> int | None:
-    """The number a run of ASCII digits names, else None (also for a run ``int()`` refuses)."""
-    try:
-        return int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # more digits than the interpreter converts
-        return None
 
 
 def parse_target(spec: str) -> tuple[str, tuple[int, ...]]:
@@ -582,46 +573,6 @@ def _gate_to_dict(g: ci.Gate) -> dict:
     if g.angle is not None:
         d["angle"] = g.angle
     return d
-
-
-_JSON_TYPES = {
-    "an integer": (int,),
-    "a finite number": (int, float),
-    "a string": (str,),
-    "a list": (list,),
-    "an object": (dict,),
-}
-
-
-class ConfigError(ValueError):
-    """An input document, a run configuration or a schedule, violates its schema."""
-
-
-def _json(value, kind: str, where: str):
-    """``value`` if it is JSON ``kind``, a key of ``_JSON_TYPES`` (never a boolean)."""
-    types = _JSON_TYPES[kind]
-    if type(value) not in types or float in types and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where} must be {kind}")
-    return value
-
-
-def _json_object(doc, where: str, required: set, optional: set = frozenset()) -> None:
-    """Refuse all but a JSON object with every ``required`` key and others only from ``optional``."""
-    _json(doc, "an object", where)
-    missing, unknown = required - set(doc), set(doc) - required - optional
-    if missing:
-        raise ConfigError(f"{where} is missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
-
-
-def _json_list(values, where: str) -> list:
-    """(entry, its path) for each entry of the JSON list ``values``."""
-    return [(v, f"{where}[{i}]") for i, v in enumerate(_json(values, "a list", where))]
-
-
-def _json_ints(values, where: str) -> tuple[int, ...]:
-    return tuple(_json(q, "an integer", at) for q, at in _json_list(values, where))
 
 
 def _gate_from_dict(d, where: str) -> ci.Gate:

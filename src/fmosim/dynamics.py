@@ -63,11 +63,11 @@ from typing import TextIO
 
 import numpy as np
 
-from . import circuit as ci
-from .compiler import _site_number, apply_schedule, compile_target
 from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo, term_eigen
 from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
+from .qcore import check_unitary_register, parse_basis_label
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
+from .schema import _site_number
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +137,7 @@ def initial_density(label: str, n: int) -> np.ndarray:
     ``ground`` is all zeros, and a literal bitstring such as ``0100000``
     selects that basis state.  The dense state caps n at 10 sites.
     """
-    ci.check_unitary_register(n)
+    check_unitary_register(n)
     if label == "ground":
         bits = "0" * n
     elif label.startswith("site"):
@@ -147,7 +147,7 @@ def initial_density(label: str, n: int) -> np.ndarray:
         bits = "".join("1" if j == k else "0" for j in range(1, n + 1))
     else:
         bits = label
-    psi = ci.parse_basis_label(bits, n)
+    psi = parse_basis_label(bits, n)
     return np.outer(psi, psi.conj())
 
 
@@ -223,7 +223,7 @@ class LindbladGenerator:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
         self.n_sites = n
         if support is None:
-            ci.check_unitary_register(n)  # before the 2^n x 2^n H is allocated
+            check_unitary_register(n)  # before the 2^n x 2^n H is allocated
             support = np.arange(2**n)
         support = np.asarray(support)
         terms = (_place(c * TERMS[kind], sites, support, n) for kind, sites, c in fmo_terms(fmo))
@@ -469,7 +469,9 @@ def _step_unitary(fmo: FmoParameters, dt: float, lowering: str, support) -> np.n
     """
     n, m = fmo.n_sites, len(support)
     if lowering == "compiled-pulses":
-        ci.check_unitary_register(n)
+        from .compiler import apply_schedule, compile_target  # loaded by this lowering only
+
+        check_unitary_register(n)
         u, nmr = (np.arange(2**n)[:, None] == support).astype(complex), nmr_from_fmo(fmo)
         for kind, sites, _ in fmo_terms(fmo):
             u = apply_schedule(compile_target(kind, sites, dt, nmr), nmr, u)

@@ -33,8 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from . import circuit as ci
-from .qcore import SX, SY, SZ, matexp_hermitian
+from .qcore import SX, SY, SZ, check_unitary_register, matexp_hermitian
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
@@ -155,25 +154,22 @@ def fmo_terms(p: FmoParameters) -> list[tuple[str, tuple[int, ...], float]]:
 
 def build_fmo_h(p: FmoParameters) -> np.ndarray:
     """Dense H: the sum of the placed local terms of ``fmo_terms`` (at most 10 sites)."""
+    from .circuit import embed  # loaded by the dense builders only
+
     n = p.n_sites
-    ci.check_unitary_register(n)  # before the 2^n x 2^n sum is allocated
+    check_unitary_register(n)  # before the 2^n x 2^n sum is allocated
     h = np.zeros((2**n, 2**n), dtype=complex)
     for kind, sites, c in fmo_terms(p):
-        h += ci.embed(c * TERMS[kind], sites, n)
+        h += embed(c * TERMS[kind], sites, n)
     return h
 
 
 def nmr_diagonal(p: NmrParameters) -> np.ndarray:
     """Diagonal of H_NMR as a length-2^n real vector."""
     n = p.n_qubits
-    signs = np.empty((n, 2**n))
-    idx = np.arange(2**n)
-    for site in range(1, n + 1):
-        signs[site - 1] = 1.0 - 2.0 * ((idx >> (n - site)) & 1)
-    diag = 0.5 * p.omega @ signs
-    for l in range(n - 1):
-        diag = diag + p.j[l] * signs[l] * signs[l + 1]
-    return diag
+    signs = 1 - 2 * ((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    # Row by row, so the J terms add in site order.
+    return np.add.reduce([0.5 * p.omega @ signs, *(p.j[:, None] * signs[:-1] * signs[1:])], axis=0)
 
 
 def build_nmr_h(p: NmrParameters) -> np.ndarray:
@@ -202,6 +198,8 @@ def nmr_from_fmo(p: FmoParameters) -> NmrParameters:
 
 def trotter_step(p: FmoParameters, dt: float) -> np.ndarray:
     """One first-order step: one UNITARY gate e^{-i dt term} per local term (at most 10 sites)."""
+    from . import circuit as ci
+
     ins = (ci.unitary_gate(matexp_hermitian(c * TERMS[kind], -1j * dt), sites)
            for kind, sites, c in fmo_terms(p))
     return ci.unitary_of(ci.Program(p.n_sites, tuple(ins)))

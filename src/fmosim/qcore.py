@@ -43,6 +43,9 @@ __all__ = [
     "trace_distance",
     "phase_align",
     "average_gate_overlap",
+    "RegisterTooLarge",
+    "check_unitary_register",
+    "parse_basis_label",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -156,3 +159,33 @@ def average_gate_overlap(u: np.ndarray, v: np.ndarray) -> float:
     """|tr(u^dag v)| / dim, without a matrix product: 1.0 iff u = v up to a global phase."""
     u = np.asarray(u, dtype=complex)
     return float(abs(np.vdot(u, v)) / u.shape[0])
+
+
+class RegisterTooLarge(ValueError):
+    """A dense 2^n x 2^n matrix was asked for on more than 10 qubits."""
+
+
+def check_unitary_register(n: int) -> None:
+    """Refuse a dense 2^n x 2^n matrix on more than 10 qubits.
+
+    Every function outside this module that allocates a matrix of 2^n rows and
+    more than one column from a register size n calls it first, so no route
+    builds one over 10 qubits; a statevector is not capped.
+    """
+    if n > 10:
+        raise RegisterTooLarge(f"dense 2^n x 2^n matrices capped at 10 qubits, got {n}")
+
+
+def parse_basis_label(init: str | int, n: int) -> np.ndarray:
+    """Statevector of a computational-basis label ('0110...', or flat index)."""
+    if isinstance(init, str):
+        if len(init) != n or set(init) - {"0", "1"}:
+            raise ValueError(f"basis label must be {n} characters of 0/1")
+        idx = int(init, 2)
+    else:
+        idx = int(init)
+        if not 0 <= idx < 2**n:
+            raise ValueError("basis index out of range")
+    psi = np.zeros(2**n, dtype=complex)
+    psi[idx] = 1.0
+    return psi
