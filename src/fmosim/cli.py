@@ -44,6 +44,7 @@ import numpy as np
 
 from .dynamics import (
     NoiseParameters,
+    Setup,
     evolve_trotter_open,
     initial_density,
     integrate_exact,
@@ -287,13 +288,15 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"config.evolution.initial_state: {exc}") from None
 
-    extra = None
+    extra, setup = None, Setup(rho0, cfg.fmo, cfg.noise)  # one for either or both routes
     if method != "exact":
         traj = evolve_trotter_open(
-            rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.lowering, args.record_every
+            rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.lowering, args.record_every,
+            setup=setup,
         )
     if method != "trotter":
-        exact = integrate_exact(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every)
+        exact = integrate_exact(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, args.record_every,
+                                setup=setup)
     if method == "exact":
         traj = exact
     elif method == "both":

@@ -214,10 +214,12 @@ class LindbladGenerator:
     ``support`` is the sorted array of basis states rho lives on (all 2^n by
     default); ``rhs`` acts on the m x m support block rho[S, S], or on each
     block of a stack (..., m, m).  The non-unitary part is the dissipator of
-    ``_dissipator``, applied linearly; the digital step exponentiates it.
+    ``_dissipator`` (built here unless ``dissipator`` passes it), applied
+    linearly; the digital step exponentiates it.  ``rhs`` keeps a scratch
+    array, so a generator serves one caller at a time.
     """
 
-    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None):
+    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None, dissipator=None):
         n = fmo.n_sites
         if noise.n_sites != n:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
@@ -228,16 +230,44 @@ class LindbladGenerator:
         support = np.asarray(support)
         terms = (_place(c * TERMS[kind], sites, support, n) for kind, sites, c in fmo_terms(fmo))
         self.h = sum(terms, np.zeros((len(support),) * 2, dtype=complex))
-        self.decay, self.refill = _dissipator(noise, support, n)
+        self.decay, self.refill = dissipator or _dissipator(noise, support, n)
+        # The refill as one scatter-add of every site's entries, in site order.
+        none = np.zeros(0, dtype=np.intp)
+        weight, lo, hi = zip(*self.refill or [(0.0, none, none)])
+        self._weight = np.repeat(weight, [len(i) for i in lo])[:, None]
+        self._at = np.concatenate(lo), np.concatenate(hi)
+        self._work = np.empty(0, dtype=complex)
 
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.h @ rho - rho @ self.h)
-        out += self.decay * rho
-        # Flat entries on the leading axis: one block stays 1-d, numpy's fast index path.
-        flat, src = (a.reshape(*a.shape[:-2], -1).T for a in (out, rho))
-        for weight, lo, hi in self.refill:
-            flat[lo] += weight * src[hi]
-        return out
+    def rhs(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """-i[H, rho] + D(rho) on one m x m block, or on each block of a stack (..., m, m).
+
+        A stack of k blocks laid out rows outermost (``rho.swapaxes(0, -2)``
+        C-contiguous, as returned; other layouts are copied) is an (m, k m) matrix
+        for H @ rho and a (k m, m) one for rho @ H: one GEMM each, which round as
+        block by block since H is real.  ``out``, a C-contiguous block or a stack
+        laid out as returned, gets the result; it must not overlap ``rho``.
+        """
+        m, x = len(self.h), np.ascontiguousarray(rho.swapaxes(0, -2))
+        y = np.empty_like(x, dtype=complex) if out is None else out.swapaxes(0, -2)
+        if out is not None and (np.shares_memory(out, rho) or not y.flags.c_contiguous):
+            raise ValueError("out must not overlap rho and must be laid out as rhs returns")
+        if self._work.shape != x.shape:
+            self._work = np.empty_like(x, dtype=complex)
+        t = self._work
+        np.matmul(self.h, x.reshape(m, -1), out=y.reshape(m, -1))
+        np.matmul(x.reshape(-1, m), self.h, out=t.reshape(-1, m))
+        np.multiply(-1j, np.subtract(y, t, out=y), out=y)
+        np.multiply(self.decay, rho, out=t.swapaxes(0, -2))  # t: decay * rho, laid out as y
+        np.add(y, t, out=y)
+        (lo, hi), k = self._at, x.size // (m * m)
+        if k > 1:  # each entry in every block, in layout (m, k, m)
+            at = np.array(self._at)
+            at = (at + at // m * ((k - 1) * m))[..., None] + np.arange(0, k * m, m)
+            lo, hi = at.reshape(2, -1)
+        v = x.reshape(-1)[hi]
+        np.multiply(self._weight, v.reshape(-1, k), out=v.reshape(-1, k))
+        np.add.at(y.reshape(-1), lo, v)
+        return y.swapaxes(0, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,55 +412,57 @@ def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
     return steps, t_max / steps
 
 
-def _state_on_support(rho0, fmo: FmoParameters, noise: NoiseParameters):
-    """rho0 as a complex 2^n x 2^n array, checked against the parameters, and its support."""
-    n = fmo.n_sites
-    if noise.n_sites != n:
-        raise ValueError("noise and Hamiltonian parameters disagree on size")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2**n, 2**n):
-        raise ValueError("state dimension does not match the parameter set")
-    return rho0, _support(rho0, n)
+class Setup:
+    """rho0's ``block`` on its ``support`` of an ``n_sites`` register, from rho0
+    checked against the parameters, and the ``dissipator`` on that support."""
+
+    def __init__(self, rho0, fmo: FmoParameters, noise: NoiseParameters):
+        self.n_sites = n = fmo.n_sites
+        if noise.n_sites != n:
+            raise ValueError("noise and Hamiltonian parameters disagree on size")
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (2**n, 2**n):
+            raise ValueError("state dimension does not match the parameter set")
+        self.support = support = _support(rho0, n)
+        self.block, self.dissipator = rho0[np.ix_(support, support)], _dissipator(noise, support, n)
 
 
 def _propagator(step, m: int) -> np.ndarray:
-    """P with vec(step(rho)) = P vec(rho): the m^2 basis blocks stepped as one stack."""
-    return step(np.eye(m * m, dtype=complex).reshape(-1, m, m)).reshape(m * m, -1).T
+    """P with vec(step(rho)) = P vec(rho): the m^2 basis blocks stepped as one stack,
+    laid out rows outermost as ``rhs`` takes it; P is F-contiguous, a stepped block per column."""
+    r, basis = np.arange(m), np.zeros((m, m, m, m), dtype=complex)
+    basis[r[:, None], r[:, None], r, r] = 1  # [r, (a, c), s] = d_ra d_cs
+    return step(basis.reshape(m, m * m, m).swapaxes(0, 1)).reshape(m * m, -1).T
 
 
-def _record(
-    rho0, support, step, steps: int, h: float, record_every: int, method: str
-) -> Trajectory:
-    """Apply the linear ``step`` to rho0's support block ``steps`` times.
+def _record(setup: Setup, step, steps: int, h: float, record_every: int, method: str) -> Trajectory:
+    """Apply the linear ``step`` to the setup's block ``steps`` times.
 
-    With at most ``PROPAGATOR_MAX_STATES`` support states, a step is one matvec
-    by ``_propagator(step, m)``.  Every record_every-th and the last block are
-    kept on the support; the Trajectory scatters them into 2^n x 2^n arrays
-    only if its ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES`` or over
-    ``STEP_BUDGET`` steps x m^2 are refused before any step.
+    With at most ``PROPAGATOR_MAX_STATES`` support states the walk is on the
+    flat m^2 vector, one matvec by ``_propagator(step, m)`` per step, and only
+    a kept vector is viewed as a block.  Every record_every-th and the last
+    block are kept on the support; the Trajectory scatters them into 2^n x 2^n
+    arrays only if its ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES``
+    or over ``STEP_BUDGET`` steps x m^2 are refused before any step.
     """
-    m, records = len(support), 1 + -(-steps // record_every)
+    rho, m, records = setup.block, len(setup.support), 1 + -(-steps // record_every)
     if records * m * m * 16 > RECORD_BUDGET_BYTES:
         raise ValueError(f"the run would record {records} states of {m} x {m} entries, over "
                          f"the {RECORD_BUDGET_BYTES:,}-byte budget; raise dt or record_every")
     if steps * m * m > STEP_BUDGET:
         raise ValueError(f"the run would take {steps} steps of {m} x {m} states, over the "
                          f"budget of {STEP_BUDGET:,} steps x m^2; raise dt or lower t_max")
-    rho = rho0[np.ix_(support, support)]
     times, blocks = [0.0], [rho]
     # A diverged run is reported by Trajectory's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
         if steps and m <= PROPAGATOR_MAX_STATES:
-            prop = _propagator(step, m)
-            def step(rho):
-                return (prop @ rho.reshape(-1)).reshape(m, m)
+            step, rho = _propagator(step, m).__matmul__, rho.reshape(-1)
         for k in range(1, steps + 1):
             rho = step(rho)
             if k % record_every == 0 or k == steps:
                 times.append(k * h)
-                blocks.append(rho)
-    n = rho0.shape[0].bit_length() - 1
-    return Trajectory(tuple(times), tuple(blocks), method, support, n)
+                blocks.append(rho.reshape(m, m))
+    return Trajectory(tuple(times), tuple(blocks), method, setup.support, setup.n_sites)
 
 
 def integrate_exact(
@@ -440,26 +472,32 @@ def integrate_exact(
     t_max: float,
     dt: float,
     record_every: int = 1,
+    *, setup: Setup | None = None,
 ) -> Trajectory:
     """Brute-force RK4 integration of the master equation on rho0's support.
 
     The step is shrunk to divide t_max exactly; states are recorded every
     ``record_every`` steps (and always at t_max).  A step is one matvec on at
-    most ``PROPAGATOR_MAX_STATES`` support states, else four ``rhs`` calls.
+    most ``PROPAGATOR_MAX_STATES`` support states, else four ``rhs`` calls
+    into two work blocks.  ``setup``, if given, must be ``Setup(rho0, fmo,
+    noise)``; rho0 is then not read.
     """
     steps, h = _step_grid(t_max, dt, record_every)
-    rho0, support = _state_on_support(rho0, fmo, noise)
-    gen = LindbladGenerator(fmo, noise, support)
+    setup = setup or Setup(rho0, fmo, noise)
+    gen = LindbladGenerator(fmo, noise, setup.support, setup.dissipator)
+    work = np.empty((2, *setup.block.shape), dtype=complex)
 
     def rk4(rho):
         # Classical RK4 in Horner form: for a linear, time-independent
-        # generator L both are sum_{m<=4} (h L)^m / m! applied to rho.
-        acc = rho
-        for m in (4, 3, 2, 1):
-            acc = rho + (h / m) * gen.rhs(acc)
-        return acc
+        # generator L both are sum_{j<=4} (h L)^j / j! applied to rho.  A block
+        # steps through the work blocks and allocates only the block it returns.
+        acc, k = work if rho.ndim == 2 else (None, None)
+        for j in (4, 3, 2):
+            k = gen.rhs(rho if j == 4 else acc, out=k)
+            acc = np.add(rho, np.multiply(h / j, k, out=k), out=acc)
+        return np.add(rho, np.multiply(h, gen.rhs(acc, out=k), out=k), order="C")
 
-    return _record(rho0, support, rk4, steps, h, record_every, "exact")
+    return _record(setup, rk4, steps, h, record_every, "exact")
 
 
 def _step_unitary(fmo: FmoParameters, dt: float, lowering: str, support) -> np.ndarray:
@@ -506,6 +544,7 @@ def evolve_trotter_open(
     dt: float,
     lowering: str = "dense-blocks",
     record_every: int = 1,
+    *, setup: Setup | None = None,
 ) -> Trajectory:
     """Digital evolution on rho0's support: split-step unitary plus per-site noise.
 
@@ -514,14 +553,15 @@ def evolve_trotter_open(
     selects how ``_step_unitary`` builds the step on the support: as the
     product of each term's exponential placed on it (``dense-blocks``), or
     from each term's compiled X-pulse schedule (``compiled-pulses``,
-    nearest-neighbour couplings only).
+    nearest-neighbour couplings only).  ``setup``, if given, must be
+    ``Setup(rho0, fmo, noise)``; rho0 is then not read.
     """
     steps, h = _step_grid(t_max, dt, record_every)
-    rho0, support = _state_on_support(rho0, fmo, noise)
-    u = _step_unitary(fmo, h, lowering, support)
+    setup = setup or Setup(rho0, fmo, noise)
+    u = _step_unitary(fmo, h, lowering, setup.support)
     uh = u.conj().T
 
-    decay, refill = _dissipator(noise, support, fmo.n_sites)
+    decay, refill = setup.dissipator
     scale = np.exp(h * decay)
     moves = [(lo, hi, 1.0 - math.exp(-weight * h)) for weight, lo, hi in refill]
     if np.any(noise.dephasing > 0):
@@ -532,7 +572,9 @@ def evolve_trotter_open(
         )
 
     def trotter(rho):
-        rho = u @ rho @ uh
+        # (u rho) @ uh as one GEMM of a (k m, m) matrix; u @ rho stays block by
+        # block, as one wide GEMM a complex u would round differently.
+        rho = ((u @ rho).reshape(-1, len(u)) @ uh).reshape(rho.shape)
         flat = rho.reshape(*rho.shape[:-2], -1).T
         # In place, so a site refills from the earlier sites' refills; mask last.
         for lo, hi, share in moves:
@@ -540,4 +582,4 @@ def evolve_trotter_open(
         rho *= scale
         return rho
 
-    return _record(rho0, support, trotter, steps, h, record_every, f"trotter(dt={h:.12g})")
+    return _record(setup, trotter, steps, h, record_every, f"trotter(dt={h:.12g})")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import fmosim
 from fmosim import circuit as ci
-from fmosim import cli
+from fmosim import cli, dynamics
 from fmosim.cli import ConfigError, load_config, main, parse_config
 from fmosim.compiler import (
     PulseSchedule,
@@ -238,6 +238,44 @@ def test_evolve_both_appends_trace_distance(tmp_path):
     td = [float(line.split(",")[-1]) for line in lines[1:]]
     assert td[0] == 0.0
     assert 0 < max(td) < 0.05
+
+
+def test_evolve_both_shares_one_setup_and_matches_the_routes_run_alone(tmp_path, monkeypatch):
+    # 4 sites from 1100: a support of 11 states, stepped by the propagator.
+    doc = deep(BASE, (("fmo",), {"epsilon": [1.0, 0.9, 1.2, 1.1], "nu_bonds": [0.1, 0.2, 0.15]}),
+               (("noise",), {"dissipation": [0.05, 0.0, 0.1, 0.02],
+                             "dephasing": [0.05, 0.1, 0.0, 0.03]}),
+               (("nmr",), {"omega": [1.0] * 4, "j": [0.2] * 3}),
+               (("evolution", "initial_state"), "1100"))
+    cfgp = write_config(tmp_path, doc)
+    runs = {}
+    for name in ("evolve_trotter_open", "integrate_exact"):
+        def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            runs[_name] = (kwargs["setup"], _real(*args, **kwargs))
+            return runs[_name][1]
+
+        monkeypatch.setattr(cli, name, spy)
+    built, dissipator = [], dynamics._dissipator
+    monkeypatch.setattr(dynamics, "_dissipator", lambda *a: built.append(a) or dissipator(*a))
+    argv = ["evolve", "--config", cfgp, "--record-every", "3", "--out"]
+    assert main(argv + [str(tmp_path / "both.csv"), "--method", "both"]) == 0
+    (setup, digital), (shared, exact) = runs["evolve_trotter_open"], runs["integrate_exact"]
+    assert setup is shared and len(setup.support) == 11 and len(built) == 1
+    cfg = load_config(cfgp)
+    rho0 = initial_density("1100", 4)
+    alone = [evolve_trotter_open(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, record_every=3),
+             integrate_exact(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, 3)]
+    for traj, want in zip((digital, exact), alone):
+        assert traj.times == want.times and len(traj.times) == 8
+        for a, b in zip(traj.blocks, want.blocks):
+            assert np.abs(a - b).max() <= 1e-15
+    monkeypatch.undo()
+    assert main(argv + [str(tmp_path / "trotter.csv"), "--method", "trotter"]) == 0
+    both = (tmp_path / "both.csv").read_text().splitlines()
+    rows = [line.rsplit(",", 1) for line in both]
+    assert "\n".join(row[0] for row in rows) + "\n" == (tmp_path / "trotter.csv").read_text()
+    distances = [f"{trace_distance(a, b):.12g}" for a, b in zip(*(t.blocks for t in alone))]
+    assert [row[1] for row in rows] == ["trace_distance"] + distances
 
 
 def test_evolve_state_dump_and_config_output_paths(tmp_path):

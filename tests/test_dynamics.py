@@ -1013,6 +1013,132 @@ def test_step_budget_refuses_before_stepping(route, monkeypatch):
         run_route(route, rho0, fmo, noise, 1e6, 1e-6, 10**12)
 
 
+# --- whole-stack kernels, the flat walk and RK4's work blocks against the forms they replace --
+
+# (n, K): supports of m = 1, 8, 11, 16 and 22 states.
+STACK_SUPPORTS = [(3, 0), (7, 1), (10, 1), (5, 2), (6, 2)]
+
+
+def assert_close(got, want):
+    """Within 1e-15 of the larger of 1 and the largest entry: one rounding at most."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0) <= 1e-15 * max(1.0, np.abs(want).max(initial=0))
+
+
+def per_site_rhs(gen, rho):
+    """The generator on one block with one gather-and-add refill per site."""
+    out = -1j * (gen.h @ rho - rho @ gen.h)
+    out += gen.decay * rho
+    flat, src = out.reshape(-1), rho.reshape(-1)
+    for weight, lo, hi in gen.refill:
+        flat[lo] += weight * src[hi]
+    return out
+
+
+def recorded_step(monkeypatch, run):
+    """The step function that ``run()`` hands to ``_record``."""
+    seen, real = [], dynamics._record
+
+    def spy(setup, step, *rest):
+        seen.append(step)
+        return real(setup, step, *rest)
+
+    monkeypatch.setattr(dynamics, "_record", spy)
+    run()
+    monkeypatch.setattr(dynamics, "_record", real)
+    return seen[-1]
+
+
+@pytest.mark.parametrize("n, k", STACK_SUPPORTS)
+def test_stack_kernels_match_one_block_at_a_time(n, k, monkeypatch):
+    # Unlike test_stacked_rhs_matches_one_block_at_a_time, which checks a stack against
+    # rhs on its own blocks, this checks rhs and the Trotter step against per-site
+    # references, so a fault shared by the block and stack paths shows too.
+    rng = np.random.default_rng(2100 + 10 * n + k)
+    fmo = chain_fmo(n, seed=n)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    rho0 = random_sector_density(n, k, rng)
+    support = _support(rho0, n)
+    m, h = len(support), 0.05
+    gen = LindbladGenerator(fmo, noise, support)
+    trotter = recorded_step(monkeypatch, lambda: evolve_trotter_open(rho0, fmo, noise, 0.0, h))
+    u = _step_unitary(fmo, h, "dense-blocks", support)
+
+    def per_site_trotter(rho):
+        rho = u @ rho @ u.conj().T
+        flat = rho.reshape(-1)
+        for weight, lo, hi in gen.refill:
+            flat[lo] += (1.0 - math.exp(-weight * h)) * flat[hi]
+        return rho * np.exp(h * gen.decay)
+
+    for lead in ((), (3,), (2, 3)):
+        stack = rng.normal(size=(*lead, m, m)) + 1j * rng.normal(size=(*lead, m, m))
+        # C order, and rows outermost as rhs returns a stack.
+        for rho in (stack, np.ascontiguousarray(stack.swapaxes(0, -2)).swapaxes(0, -2)):
+            for step, reference in ((gen.rhs, lambda b: per_site_rhs(gen, b)),
+                                    (trotter, per_site_trotter)):
+                kept = rho.copy()
+                got = step(rho)
+                assert np.array_equal(rho, kept)
+                for idx in np.ndindex(lead):
+                    assert_close(got[idx], reference(stack[idx]))
+
+
+@pytest.mark.parametrize("k", [2, 7])  # m = 29 and 128
+def test_buffered_rk4_steps_match_the_allocating_form(k):
+    rng = np.random.default_rng(2200 + k)
+    fmo = chain_fmo(7, seed=7)
+    noise = NoiseParameters(random_rates(7, rng), random_rates(7, rng))
+    traj = integrate_exact(random_sector_density(7, k, rng), fmo, noise, 0.1, 0.02)
+    assert len(traj.support) == {2: 29, 7: 128}[k] and len(traj.blocks) == 6
+    gen, h = LindbladGenerator(fmo, noise, traj.support), traj.times[1]
+    rho = traj.blocks[0]
+    for got in traj.blocks[1:]:
+        acc = rho
+        for j in (4, 3, 2, 1):
+            acc = rho + (h / j) * gen.rhs(acc)
+        rho = acc
+        assert_close(got, rho)
+
+
+def test_rhs_refuses_an_out_that_overlaps_rho():
+    rng = np.random.default_rng(2300)
+    noise = NoiseParameters(random_rates(7, rng), random_rates(7, rng))
+    gen = LindbladGenerator(chain_fmo(7, seed=7), noise, _support(initial_density("site1", 7), 7))
+    m = len(gen.h)
+    buf = rng.normal(size=m * m + m) + 1j * rng.normal(size=m * m + m)
+    rho, shifted = buf[: m * m].reshape(m, m), buf[m:].reshape(m, m)
+    want = gen.rhs(rho)
+    for out in (rho, shifted):
+        with pytest.raises(ValueError, match="must not overlap rho"):
+            gen.rhs(rho, out=out)
+    with pytest.raises(ValueError, match="laid out as rhs returns"):
+        gen.rhs(rho, out=np.empty((m, m), dtype=complex, order="F"))
+    assert np.array_equal(buf[: m * m].reshape(m, m), rho)
+    out = np.empty((m, m), dtype=complex)
+    assert gen.rhs(rho, out=out) is not None and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (5, 2)])  # m = 8 and 16
+@pytest.mark.parametrize("route", ROUTES)
+def test_flat_walk_matches_block_steps_with_the_same_propagator(n, k, route, monkeypatch):
+    rng = np.random.default_rng(2400 + 10 * n + k)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    built = spy_propagators(monkeypatch)
+    traj = run_route(route, random_sector_density(n, k, rng), chain_fmo(n, seed=n), noise,
+                     0.3, 0.02, 4)
+    [p] = built
+    m = len(traj.support)
+    rho, want = traj.blocks[0], [traj.blocks[0]]
+    for step in range(1, 16):
+        rho = (p @ rho.reshape(-1)).reshape(m, m)
+        if step % 4 == 0 or step == 15:
+            want.append(rho)
+    assert len(traj.blocks) == len(want)
+    for got, block in zip(traj.blocks, want):
+        assert_close(got, block)
+
+
 # --- H and the step unitary built on the support ----------------------------------------
 
 
