@@ -303,11 +303,7 @@ def cmd_evolve(args) -> int:
         # Both routes start from rho0, so they share its support.
         if not np.array_equal(traj.support, exact.support):
             raise ValueError("the digital and exact trajectories have different supports")
-        extra = {
-            "trace_distance": np.array(
-                [trace_distance(a, b) for a, b in zip(traj.blocks, exact.blocks)]
-            )
-        }
+        extra = {"trace_distance": trace_distance(traj.blocks, exact.blocks)}
     csv = traj.to_csv(extra_columns=extra)
     _write(args.out or cfg.output.get("trajectory"), lambda fh: fh.write(csv))
     states_path = args.states or cfg.output.get("states")

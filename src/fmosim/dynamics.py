@@ -44,9 +44,9 @@ columns.  rho0 is a dense 2^n x 2^n array, so both routes are capped at 10
 sites.  Either step is a
 fixed linear map of the support block; the shared loop ``_record`` applies it
 as one m^2 x m^2 matvec on at most ``PROPAGATOR_MAX_STATES`` (16) states, else
-by calling the step.  Recorded blocks stay on the support; ``Trajectory`` reads
-populations, trace, purity and the state JSON (full 2^n x 2^n layout, byte for
-byte) from them and scatters them into ``states`` on demand.
+by calling the step.  A run's records stay on the support, as one read-only
+(records, m, m) stack: ``Trajectory`` checks it, and reads populations, trace,
+purity and the state JSON (full 2^n x 2^n layout, byte for byte) from it.
 
 Populations are excitation-basis: p_j = tr(rho n_j), so the all-ground state
 has p = 0 and dissipation drains p_j toward zero; 1 - sum_j p_j is the
@@ -274,25 +274,26 @@ class LindbladGenerator:
 class Trajectory:
     """Recorded open-system evolution, kept on the support rho lives on.
 
-    ``blocks[i]`` is the state at ``times[i]`` restricted to ``support``, the
-    sorted basis states of an ``n_sites``-qubit register; the state is zero
-    off the support.  Built positionally from full 2^n x 2^n states
-    (``support`` omitted), the support is the whole register.  Populations,
-    the CSV and the state JSON read the m x m blocks; ``states`` and
-    ``final_state`` scatter them into read-only 2^n x 2^n arrays on demand.
+    ``blocks`` is one read-only (len(times), m, m) stack, checked and read as a
+    whole: ``blocks[i]`` is the state at ``times[i]`` restricted to ``support``,
+    the sorted basis states of an ``n_sites``-qubit register, and zero off it.
+    Built positionally from full 2^n x 2^n states (``support`` omitted), the
+    support is the whole register.  ``states`` and ``final_state`` scatter the
+    blocks into read-only 2^n x 2^n arrays on demand.
     """
 
     times: tuple[float, ...]
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     method: str
     support: np.ndarray | None = None
     n_sites: int | None = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.blocks) or not self.times:
+        times = np.array(self.times, dtype=float)
+        if times.ndim != 1 or len(times) != len(self.blocks) or not len(times):
             raise ValueError("need one state per time point")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         if self.support is None:
             dim = np.shape(self.blocks[0])[0]
             n = dim.bit_length() - 1
@@ -304,23 +305,22 @@ class Trajectory:
             if (n is None or support.ndim != 1 or not len(support) or support[0] < 0
                     or support[-1] >= 2**n or np.any(np.diff(support) <= 0)):
                 raise ValueError("support must be increasing basis states of the register")
-        m = len(support)
-        tol = 1e-8 if self.method == "exact" else 1e-6
-        blocks = []
-        for t, s in zip(self.times, self.blocks):
-            s = np.array(s, dtype=complex)
-            if s.shape != (m, m):
-                raise ValueError(f"state at t={t:g} is not {m} x {m}")
-            tr = np.trace(s)
-            if not (np.isfinite(s).all() and abs(tr.real - 1.0) <= tol and abs(tr.imag) <= tol):
-                raise ValueError(f"state at t={t:g} is not finite or has trace {tr:.8g}")
-            s.setflags(write=False)
-            blocks.append(s)
+        m, times = len(support), tuple(times.tolist())
+        try:
+            blocks = np.array(self.blocks, dtype=complex)
+        except ValueError:  # blocks of different shapes
+            blocks = np.empty(0)
+        if blocks.shape != (len(times), m, m):
+            t = next(t for t, s in zip(times, self.blocks) if np.shape(s) != (m, m))
+            raise ValueError(f"state at t={t:g} is not {m} x {m}")
+        tr, tol = np.trace(blocks, axis1=1, axis2=2), (1e-8 if self.method == "exact" else 1e-6)
+        ok = np.isfinite(blocks).all((1, 2)) & (abs(tr.real - 1.0) <= tol) & (abs(tr.imag) <= tol)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"state at t={times[i]:g} is not finite or has trace {tr[i]:.8g}")
+        blocks.setflags(write=False)
         support.setflags(write=False)
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "n_sites", n)
+        vars(self).update(blocks=blocks, times=times, support=support, n_sites=n)  # frozen
 
     def _scatter(self, block: np.ndarray) -> np.ndarray:
         """``block`` as a read-only 2^n x 2^n array, zero off the support."""
@@ -341,32 +341,27 @@ class Trajectory:
     def populations(self) -> np.ndarray:
         """(len(times), n_sites) table of excited-state populations."""
         occ = _occupations(self.support, self.n_sites)
-        return np.array([occ @ np.real(np.diagonal(s)) for s in self.blocks])
+        return (occ @ self.blocks.diagonal(axis1=1, axis2=2).real[..., None])[..., 0]
 
     def to_csv(self, extra_columns: dict[str, np.ndarray] | None = None) -> str:
         """Plot-ready table: t, per-site populations, loss, trace, purity.
 
-        Purity is tr(rho^2), computed for Hermitian rho as sum |rho_ab|^2;
-        trace and purity read the blocks, as rho is zero off the support.
+        Purity is tr(rho^2), computed for Hermitian rho as sum |rho_ab|^2 by one
+        ``np.vdot`` per record (a stacked sum rounds differently); trace and purity
+        read the blocks, as rho is zero off the support.  The table is built for
+        the whole stack and printed with one ``%.12g`` row format.  Extra columns
+        must be finite: no row carries NaN or inf.
         """
-        extra = extra_columns or {}
+        extra = {name: np.asarray(col, dtype=float) for name, col in (extra_columns or {}).items()}
         for name, col in extra.items():
-            if len(col) != len(self.times):
-                raise ValueError(f"extra column {name!r} has wrong length")
-        n = self.n_sites
+            if col.shape != (len(self.times),) or not np.isfinite(col).all():
+                raise ValueError(f"extra column {name!r} must hold one finite number per time")
+        n, blocks, pops = self.n_sites, self.blocks, self.populations()
         header = ["t"] + [f"p{j}" for j in range(1, n + 1)] + ["loss", "trace", "purity"]
-        header += list(extra)
-        lines = [",".join(header)]
-        pops = self.populations()
-        for i, (t, s) in enumerate(zip(self.times, self.blocks)):
-            row = [f"{t:.12g}"]
-            row += [f"{p:.12g}" for p in pops[i]]
-            row.append(f"{1.0 - pops[i].sum():.12g}")
-            row.append(f"{np.trace(s).real:.12g}")
-            row.append(f"{np.vdot(s, s).real:.12g}")  # tr(rho^2) = sum |rho_ab|^2
-            row += [f"{float(extra[name][i]):.12g}" for name in extra]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        columns = [self.times, pops, 1.0 - pops.sum(1), np.trace(blocks, axis1=1, axis2=2).real]
+        table = np.column_stack(columns + [[np.vdot(s, s).real for s in blocks], *extra.values()])
+        rows = "\n".join([",".join(["%.12g"] * table.shape[1])] * len(table))
+        return ",".join(header + list(extra)) + "\n" + rows % tuple(table.ravel().tolist()) + "\n"
 
     def to_state_json(self, fh: TextIO) -> None:
         """Write the full-state dump to ``fh``: times plus row-major [re, im] entries of each state.

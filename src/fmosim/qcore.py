@@ -82,7 +82,7 @@ def pauli_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - a.conj().swapaxes(-1, -2))) <= atol)
 
 
 def is_unitary(a: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
@@ -131,12 +131,20 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """T(a, b) = (1/2) * sum of |eigenvalues| of (a - b)."""
-    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    if not is_hermitian(d, atol=1e-9):
-        raise ValueError("trace_distance requires Hermitian inputs")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T)))))
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """T(a, b) = (1/2) * sum of |eigenvalues| of (a - b): a float for two matrices, an array
+    for two stacks (..., m, m), with one check and one batched ``eigvalsh`` per ~256 KiB slice."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    shape, m = a.shape[:-2], a.shape[-1]
+    a, b, step = a.reshape(-1, m, m), b.reshape(-1, m, m), max(1, (1 << 18) // (16 * m * m))
+    t = np.empty(len(a))
+    for i in range(0, len(a), step):
+        d = a[i:i + step] - b[i:i + step]
+        if not is_hermitian(d, atol=1e-9):
+            raise ValueError("trace_distance requires Hermitian inputs")
+        h = 0.5 * (d + d.conj().swapaxes(-1, -2))
+        t[i:i + step] = 0.5 * np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+    return t.reshape(shape) if shape else float(t[0])
 
 
 def phase_align(u: np.ndarray, v: np.ndarray) -> np.ndarray:
