@@ -167,7 +167,6 @@ class AffineChannel:
 
     matrix: np.ndarray
     shift: np.ndarray
-    angles: tuple[float, float] | None = None
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -178,9 +177,6 @@ class AffineChannel:
         s.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(r, dtype=float) + self.shift
 
     def maps_ball_into_ball(self, samples: int = 200, slack: float = 1e-9) -> bool:
         """Check |M r + m| <= 1 on a deterministic sample of the unit sphere."""
@@ -209,7 +205,7 @@ def bloch_map(ch: KrausChannel) -> AffineChannel:
 
     shift = act(0.5 * ID2)
     cols = [act(0.5 * (ID2 + s)) - shift for s in (SX, SY, SZ)]
-    return AffineChannel(np.column_stack(cols), shift, angles=ch.angles)
+    return AffineChannel(np.column_stack(cols), shift)
 
 
 def _angles_of(ch: KrausChannel) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """A small gate-level circuit IR with simulators and text serialization.
 
-Instructions are either unitary gates (X, H, RX, RY, RZ, CZ, CNOT, CPHASE and
-opaque UNITARY blocks), a single-qubit Kraus channel placed on one qubit, or a
+Instructions are either unitary gates (X, H, RX, RY, RZ, CZ, CNOT and opaque
+UNITARY blocks), a single-qubit Kraus channel placed on one qubit, or a
 measure-and-discard of one qubit (dephase in the computational basis, then
 trace out; the reduced state of the survivors is the same either way, so it is
 implemented as a partial trace).  Qubit 1 is the most significant bit of a
@@ -35,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .qcore import CPTP_VERIFIED_ATOL, SX, UNITARY_ATOL, is_unitary
-from .qcore import RegisterTooLarge, check_unitary_register, parse_basis_label  # re-exported
+from .qcore import check_unitary_register, parse_basis_label
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +53,6 @@ __all__ = [
     "rz",
     "cz",
     "cnot",
-    "cphase",
     "unitary_gate",
     "gate_matrix",
     "run_statevector",
@@ -63,38 +62,23 @@ __all__ = [
     "apply",
     "apply_gates",
     "embed",
-    "RegisterTooLarge",
-    "check_unitary_register",
     "partial_trace",
     "export_text",
     "parse_text",
 ]
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-_FIXED = {"X": SX, "H": _H, "CZ": _CZ, "CNOT": _CNOT}
-_PARAM = {
-    "RX": lambda t: np.array(
-        [
-            [math.cos(t / 2), -1j * math.sin(t / 2)],
-            [-1j * math.sin(t / 2), math.cos(t / 2)],
-        ]
-    ),
-    "RY": lambda t: np.array(
-        [
-            [math.cos(t / 2), -math.sin(t / 2)],
-            [math.sin(t / 2), math.cos(t / 2)],
-        ],
-        dtype=complex,
-    ),
-    "RZ": lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
-    "CPHASE": lambda t: np.diag([1.0, 1.0, 1.0, np.exp(1j * t)]),
+# The gate vocabulary: kind -> (qubit count, matrix, or a function from angle to matrix).
+_GATES = {
+    "X": (1, SX),
+    "H": (1, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)),
+    "RX": (1, lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
+                                  [-1j * math.sin(t / 2), math.cos(t / 2)]])),
+    "RY": (1, lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
+                                  [math.sin(t / 2), math.cos(t / 2)]], dtype=complex)),
+    "RZ": (1, lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])),
+    "CZ": (2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+    "CNOT": (2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
 }
-_ARITY = {"X": 1, "H": 1, "RX": 1, "RY": 1, "RZ": 1, "CZ": 2, "CNOT": 2, "CPHASE": 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +100,12 @@ class Gate:
                 raise ValueError("UNITARY block is not unitary")
             object.__setattr__(self, "matrix", m)
         else:
-            if self.kind not in _ARITY:
+            if self.kind not in _GATES:
                 raise ValueError(f"unknown gate kind {self.kind!r}")
-            if len(self.qubits) != _ARITY[self.kind]:
-                raise ValueError(f"{self.kind} expects {_ARITY[self.kind]} qubit(s)")
-            needs_angle = self.kind in _PARAM
-            if needs_angle != (self.angle is not None):
+            arity, matrix = _GATES[self.kind]
+            if len(self.qubits) != arity:
+                raise ValueError(f"{self.kind} expects {arity} qubit(s)")
+            if callable(matrix) != (self.angle is not None):
                 raise ValueError(f"bad angle for {self.kind}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("repeated qubit in gate")
@@ -250,10 +234,6 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
 
 
-def cphase(theta: float, q1: int, q2: int) -> Gate:
-    return Gate("CPHASE", (q1, q2), float(theta))
-
-
 def unitary_gate(matrix: np.ndarray, qubits: Sequence[int]) -> Gate:
     return Gate("UNITARY", tuple(qubits), matrix=matrix)
 
@@ -262,9 +242,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
     """Local unitary of a gate on its qubits (row = qubit order as listed) or its phase vector."""
     if g.kind == "UNITARY":
         return g.matrix
-    if g.kind in _FIXED:
-        return _FIXED[g.kind]
-    return _PARAM[g.kind](g.angle)
+    matrix = _GATES[g.kind][1]
+    return matrix(g.angle) if callable(matrix) else matrix
 
 
 # --- simulators -------------------------------------------------------------
@@ -341,7 +320,7 @@ def run_density(
         raise ValueError(f"density matrix must be {2**n}x{2**n}")
     for ins in program.instructions:
         if isinstance(ins, MeasureAndDiscard):
-            rho = partial_trace(rho, _others(ins.qubit, n), n)
+            rho = partial_trace(rho, [q for q in range(1, n + 1) if q != ins.qubit], n)
             n -= 1
             continue
         if isinstance(ins, Gate):
@@ -377,10 +356,6 @@ def operator_sum(
     a non-CPTP channel's action (``channels.bloch_map``) calls it directly.
     """
     return sum(apply(k, qubits, apply(k, qubits, rho).conj().T).conj().T for k in ops)
-
-
-def _others(q: int, n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(1, n + 1) if j != q)
 
 
 def unitary_of(program: Program) -> np.ndarray:
@@ -516,7 +491,7 @@ def parse_text(text: str) -> Program:
                         raise ValueError("malformed angle")
                     angle = float(arg[:-1])
                 qubits = tuple(int(t) for t in tokens[1:])
-                if name not in _ARITY:
+                if name not in _GATES:
                     raise ValueError(f"unknown gate {name!r}")
                 instructions.append(Gate(name, qubits, angle))
                 i += 1

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import circuit as ci
 from .hamiltonians import TERMS, NmrParameters, nmr_diagonal, term_exp
-from .qcore import SCHEDULE_VERIFY_ATOL, phase_align
+from .qcore import SCHEDULE_VERIFY_ATOL, check_unitary_register, phase_align
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .schema import ConfigError, _json, _json_ints, _json_list, _json_object, _site_number
 
@@ -531,7 +531,7 @@ def verify_schedule(
     Registers over 10 qubits are refused before any work.
     """
     n = sched.n_qubits
-    ci.check_unitary_register(n)
+    check_unitary_register(n)
     kind, sites, coeff = parse_descriptor(sched.target)
     touched = sorted(set(sites).union(*(g.qubits for s in sched.segments for g in s.pre + s.post)))
     if not 1 <= touched[0] <= touched[-1] <= n:

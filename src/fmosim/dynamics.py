@@ -276,17 +276,16 @@ class Trajectory:
 
     ``blocks`` is one read-only (len(times), m, m) stack, checked and read as a
     whole: ``blocks[i]`` is the state at ``times[i]`` restricted to ``support``,
-    the sorted basis states of an ``n_sites``-qubit register, and zero off it.
-    Built positionally from full 2^n x 2^n states (``support`` omitted), the
-    support is the whole register.  ``states`` and ``final_state`` scatter the
-    blocks into read-only 2^n x 2^n arrays on demand.
+    the sorted basis states of an ``n_sites``-qubit register, and zero off it;
+    full 2^n x 2^n states come with the support ``np.arange(2**n)``.  ``states``
+    and ``final_state`` scatter the blocks into read-only 2^n x 2^n arrays on demand.
     """
 
     times: tuple[float, ...]
     blocks: np.ndarray
     method: str
-    support: np.ndarray | None = None
-    n_sites: int | None = None
+    support: np.ndarray
+    n_sites: int
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -294,17 +293,10 @@ class Trajectory:
             raise ValueError("need one state per time point")
         if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
             raise ValueError("times must be finite and strictly increasing")
-        if self.support is None:
-            dim = np.shape(self.blocks[0])[0]
-            n = dim.bit_length() - 1
-            if dim != 1 << n or self.n_sites not in (None, n):
-                raise ValueError("state dimension is not 2^n_sites")
-            support = np.arange(dim)
-        else:
-            n, support = self.n_sites, np.array(self.support, dtype=np.int64)
-            if (n is None or support.ndim != 1 or not len(support) or support[0] < 0
-                    or support[-1] >= 2**n or np.any(np.diff(support) <= 0)):
-                raise ValueError("support must be increasing basis states of the register")
+        n, support = self.n_sites, np.array(self.support, dtype=np.int64)
+        if (n is None or support.ndim != 1 or not len(support) or support[0] < 0
+                or support[-1] >= 2**n or np.any(np.diff(support) <= 0)):
+            raise ValueError("support must be increasing basis states of the register")
         m, times = len(support), tuple(times.tolist())
         try:
             blocks = np.array(self.blocks, dtype=complex)

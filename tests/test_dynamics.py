@@ -508,10 +508,10 @@ def test_compiled_step_matches_the_circuit_replay(dt):
 def test_trajectory_validation():
     rho = np.eye(2) / 2
     with pytest.raises(ValueError):
-        Trajectory((0.0, 0.0), (rho, rho), "exact")
+        Trajectory((0.0, 0.0), (rho, rho), "exact", np.arange(2), 1)
     with pytest.raises(ValueError):
-        Trajectory((0.0,), (np.eye(2),), "exact")  # trace 2
-    t = Trajectory((0.0, 1.0), (rho, rho), "exact")
+        Trajectory((0.0,), (np.eye(2),), "exact", np.arange(2), 1)  # trace 2
+    t = Trajectory((0.0, 1.0), (rho, rho), "exact", np.arange(2), 1)
     with pytest.raises(ValueError):
         t.states[0][0, 0] = 5.0
 
@@ -534,7 +534,7 @@ def test_trajectory_csv_layout():
 
 def test_trajectory_csv_extra_columns():
     rho = np.eye(2, dtype=complex) / 2
-    traj = Trajectory((0.0, 0.5), (rho, rho), "exact")
+    traj = Trajectory((0.0, 0.5), (rho, rho), "exact", np.arange(2), 1)
     text = traj.to_csv(extra_columns={"trace_distance": np.array([0.0, 0.125])})
     lines = text.strip().split("\n")
     assert lines[0].endswith(",trace_distance")
@@ -547,7 +547,7 @@ def test_trajectory_state_json():
     import json
 
     rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
-    traj = Trajectory((0.0,), (rho,), "exact")
+    traj = Trajectory((0.0,), (rho,), "exact", np.arange(2), 1)
     doc = json.loads(state_json(traj))
     assert doc["method"] == "exact"
     assert doc["states"][0][0][1] == [0.0, 0.5]
@@ -565,8 +565,8 @@ def test_state_json_matches_nested_comprehension():
         rho[0, -1], rho[-1, 0] = complex(-0.0, -0.0), complex(0.0, -0.0)
         rho[np.diag_indices(2**n)] = 1 / 2**n
         states.append(rho)
-    for rho in states:
-        traj = Trajectory((0.0, 1.0), (rho, rho), "exact")
+    for n, rho in enumerate(states, 1):
+        traj = Trajectory((0.0, 1.0), (rho, rho), "exact", np.arange(2**n), n)
         want = {
             "method": "exact",
             "times": [0.0, 1.0],
@@ -725,10 +725,10 @@ def test_states_scatter_on_first_access_only():
 def test_trajectory_keywords_name_blocks_not_states():
     """The second field is ``blocks``; the ``states=`` keyword is gone."""
     rho = np.eye(2, dtype=complex) / 2
-    traj = Trajectory(times=(0.0,), blocks=(rho,), method="exact")
+    traj = Trajectory(times=(0.0,), blocks=(rho,), method="exact", support=np.arange(2), n_sites=1)
     assert np.array_equal(traj.states[0], rho) and list(traj.support) == [0, 1]
     with pytest.raises(TypeError):
-        Trajectory(times=(0.0,), states=(rho,), method="exact")
+        Trajectory(times=(0.0,), states=(rho,), method="exact", support=np.arange(2), n_sites=1)
     moved = dataclasses.replace(traj, times=(1.0,))
     assert moved.times == (1.0,) and np.array_equal(moved.blocks[0], rho)
 
@@ -740,10 +740,6 @@ def test_trajectory_support_validation():
             Trajectory((0.0,), (block,), "exact", np.array(support, dtype=int), n)
     with pytest.raises(ValueError):
         Trajectory((0.0,), (block,), "exact", np.array([0, 1, 2]), 2)  # block is 2 x 2
-    with pytest.raises(ValueError):
-        Trajectory((0.0,), (np.eye(3) / 3,), "exact")  # not 2^n
-    with pytest.raises(ValueError):
-        Trajectory((0.0,), (block,), "exact", None, 3)  # n disagrees with the state
 
 
 def test_negative_zeros_off_the_support_print_as_positive_zeros():

@@ -3,11 +3,14 @@
 ``evolve`` with the ``dense-blocks`` step and ``load_config`` must not load the
 compiler, the circuit IR or the channel layer; the commands that do use them
 still run, and the benchmark's span tracer still sees every compiler span
-through the names ``cli`` binds on first use.
+through the names ``cli`` binds on first use.  Every name a module lists in
+``__all__`` resolves.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +47,21 @@ def run_fresh(argv: list[str]) -> tuple[int, set[str]]:
     """Exit code of ``main(argv)`` (``load_config`` for no argv) and the fmosim modules loaded."""
     rc, loaded = json.loads(fresh(RUN, json.dumps(argv), CONFIG).splitlines()[-1])
     return rc, set(loaded)
+
+
+def test_every_name_a_module_exports_resolves_once():
+    """Each fmosim module's ``__all__`` lists names it defines or imports, none twice."""
+    checked = 0
+    for info in pkgutil.iter_modules(fmosim.__path__):
+        module = importlib.import_module(f"fmosim.{info.name}")
+        exported = getattr(module, "__all__", None)
+        if exported is None:
+            continue
+        checked += 1
+        assert len(set(exported)) == len(exported), (info.name, sorted(exported))
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+    assert checked >= 6
 
 
 def test_config_loading_and_dense_evolve_load_no_compiler_circuit_or_channels(tmp_path):

@@ -16,7 +16,6 @@ from fmosim.qcore import (
     density_to_bloch,
     is_hermitian,
     is_unitary,
-    kron,
     matexp_hermitian,
     pauli_embed,
     phase_align,
@@ -35,21 +34,6 @@ def random_density(n, rng=RNG):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
-
-
-class TestKron:
-    def test_two_factor_shape_and_values(self):
-        np.testing.assert_allclose(kron([SX, ID2]), np.kron(SX, ID2))
-
-    def test_associativity(self):
-        a, b, c = (random_hermitian(2) for _ in range(3))
-        left = kron([kron([a, b]), c])
-        right = kron([a, kron([b, c])])
-        assert np.max(np.abs(left - right)) <= 1e-14
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kron([])
 
 
 class TestPauliEmbed:
@@ -152,18 +136,6 @@ class TestPhaseAlign:
         u = matexp_hermitian(random_hermitian(4, np.random.default_rng(3)), -1j)
         aligned = phase_align(np.exp(1j * phi) * u, u)
         assert np.max(np.abs(aligned - u)) <= 1e-10
-
-    def test_overlap_metric(self):
-        u = matexp_hermitian(SZ, -1j * 0.4)
-        assert qcore.average_gate_overlap(u, np.exp(0.9j) * u) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_overlap_matches_trace_of_product(self, n):
-        rng = np.random.default_rng(70 + n)
-        u, v = (matexp_hermitian(random_hermitian(2**n, rng), -1j) for _ in range(2))
-        for a, b in ((u, v), (u, np.exp(0.3j) * u), (v, u)):
-            want = abs(np.trace(a.conj().T @ b)) / 2**n
-            assert abs(qcore.average_gate_overlap(a, b) - want) <= 1e-13
 
 
 class TestCheckDensity:

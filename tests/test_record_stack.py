@@ -188,13 +188,13 @@ def test_trajectory_names_the_first_record_of_a_wrongly_shaped_stack():
 def test_trajectory_refuses_non_finite_times(times):
     rho = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError, match="times must be finite"):
-        Trajectory(times, (rho, rho), "exact")
+        Trajectory(times, (rho, rho), "exact", np.arange(2), 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_to_csv_refuses_a_non_finite_extra_column(bad):
     rho = np.eye(2, dtype=complex) / 2
-    traj = Trajectory((0.0, 0.5), (rho, rho), "exact")
+    traj = Trajectory((0.0, 0.5), (rho, rho), "exact", np.arange(2), 1)
     with pytest.raises(ValueError, match="'trace_distance' must hold one finite number"):
         traj.to_csv(extra_columns={"trace_distance": np.array([0.0, bad])})
 
@@ -237,3 +237,17 @@ def test_stack_table_matches_the_per_row_writer(n, label):
     assert_same_text(traj.to_csv(extra), reference_csv(traj, extra))
     assert_same_text(traj.to_csv({"listed": extra["signed"].tolist()}),
                      reference_csv(traj, {"listed": extra["signed"]}))
+
+
+@pytest.mark.parametrize("seed", [1452, 34415])
+def test_csv_purity_is_the_per_record_vdot(seed):
+    """Purity prints ``np.vdot``'s sum of |rho_ab|^2.  These two states were picked
+    because a stacked ``(abs(blocks) ** 2).sum((1, 2))`` rounds them to a different
+    last printed digit (0.248782769643 for seed 1452 and 0.223095113545 for 34415,
+    with OpenBLAS on x86-64), so the test tells the two sums apart."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    traj = Trajectory((0.0,), (rho,), "exact", np.arange(8), 3)
+    assert traj.to_csv().splitlines()[1].split(",")[-1] == "%.12g" % np.vdot(rho, rho).real
