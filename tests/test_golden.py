@@ -5,10 +5,11 @@ In a JSON report, keys, strings (the embedded circuit text among them),
 booleans and nulls must match exactly; numbers within 1e-12, so that a
 different BLAS cannot fail it.  A CSV's header line must match exactly, and its
 cells as numbers within ``print_resolution``: one unit in the 12th significant
-digit that ``%.12g`` prints, and never less than 1e-12.  A compile case's
-schedule JSON and circuit text must match byte for byte, and its summary lines
-as text, except ``norm_error`` and ``fidelity``, which are roundoff and must
-agree within 1e-12.
+digit that ``%.12g`` prints, and never less than 1e-12.  An evolve case's state
+JSON, which prints every entry with ``repr``, must match byte for byte, so a
+change in the last bit of a state fails it.  A compile case's schedule JSON and
+circuit text must match byte for byte, and its summary lines as text, except
+``norm_error`` and ``fidelity``, which are roundoff and must agree within 1e-12.
 """
 
 import json
@@ -65,10 +66,12 @@ def summary_lines(text: str) -> list:
 
 def parse(path: Path):
     """A compile case's summary as ``summary_lines`` and its schedule or circuit
-    as bytes; a report JSON as its document; a CSV as its header line plus rows
-    of floats."""
+    as bytes; an evolve case's state JSON as bytes; a report JSON as its
+    document; a CSV as its header line plus rows of floats."""
     if path.name.startswith("compile-"):
         return summary_lines(path.read_text()) if path.suffix == ".out" else path.read_bytes()
+    if path.name.startswith("evolve-") and path.suffix == ".json":
+        return path.read_bytes()
     text = path.read_text()
     if path.suffix == ".json":
         return json.loads(text)
