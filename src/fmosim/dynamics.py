@@ -16,15 +16,16 @@ Two evolution routes for the same model:
   ``compiled-pulses`` its ``compiler.compile_target`` schedule), then the
   noise step e^{dt D}.
 
-The dissipator D (the Gamma and gamma terms) is built once, by
-``_dissipator``, as a decay mask plus per-site refill index vectors.  RK4
-applies it linearly; the digital step applies e^{dt D} exactly: every refill
-in place with weight 1 - e^{-8 Gamma_j dt}, then rho *= e^{dt decay}.  That
-is the product of the per-site dissipation and corrected (CPTP) dephasing
-channels, so CPTP at any dt, because the site channels commute, site j's
-mask factor is 1 wherever its refill writes (site j is empty in both a and b
-there), and refilling in place chains the refills of several sites as
-applying the channels one after another does.
+The dissipator D (the Gamma and gamma terms) is built once, by ``_dissipator``
+from one occupation table of the support, as a decay mask plus per-site refill
+index vectors.  RK4 applies it linearly, every site's refill in one scatter;
+the digital step applies e^{dt D} exactly: every refill in place with weight
+1 - e^{-8 Gamma_j dt}, then rho *= e^{dt decay}.  That is the product of the
+per-site dissipation and corrected (CPTP) dephasing channels, so CPTP at any
+dt, because the site channels commute, site j's mask factor is 1 wherever its
+refill writes (site j is empty in both a and b there), and refilling in place
+chains the refills of several sites as applying the channels one after another
+does.
 
 Both routes step rho restricted to its support: the sorted basis states
 with at most K excitations, K the largest excitation number of a row or
@@ -190,22 +191,22 @@ def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
     and lo are flat indices into an m x m array: hi the entries |a><b| with
     site j occupied in both a and b, lo the same entries with site j emptied
     in both (a support of at most K excitations keeps a state with one
-    excitation removed).
+    excitation removed).  Both come from one (n, m) occupation table: site
+    j's term is its row of rates [0, 4 Gamma_j + gamma_j, 8 Gamma_j] looked up
+    by how many of a and b hold site j, which is the product form bit for bit,
+    and decay subtracts the sites' terms in site order.
     """
-    m = len(support)
+    m, occ, big = len(support), _occupations(support, n).astype(np.uint8), noise.dissipation
+    pair = occ[:, :, None] + occ[:, None, :]  # [j, a, b]: how many of a and b hold site j
+    rates = np.stack([0.0 * big, 4.0 * big + noise.dephasing, 8.0 * big], 1)
     decay = np.zeros((m, m))
-    refill = []
-    for j, (big, small) in enumerate(zip(noise.dissipation, noise.dephasing), 1):
-        bit = 1 << (n - j)
-        occ = (support & bit) != 0
-        a, b = occ[:, None], occ[None, :]
-        decay -= (4.0 * big + small) * (a ^ b) + 8.0 * big * (a & b)
-        if big > 0:
-            hi = np.flatnonzero(occ)
-            lo = np.searchsorted(support, support[hi] ^ bit)
-            lo, hi = ((k[:, None] * m + k).ravel() for k in (lo, hi))
-            refill.append((8.0 * big, lo, hi))
-    return decay, refill
+    for rate, p in zip(rates, pair):
+        decay -= rate[p]
+    site, p, q = np.nonzero(pair == 2)  # site j's entries a = p, b = q, in site order
+    low = np.searchsorted(support, support ^ (1 << np.arange(n - 1, -1, -1))[:, None])
+    lo, hi, cuts = low[site, p] * m + low[site, q], p * m + q, np.cumsum(occ.sum(1) ** 2).tolist()
+    return decay, [(8.0 * g, lo[i:j], hi[i:j])
+                   for g, i, j in zip(noise.dissipation, [0, *cuts], cuts) if g > 0]
 
 
 class LindbladGenerator:
@@ -215,8 +216,8 @@ class LindbladGenerator:
     default); ``rhs`` acts on the m x m support block rho[S, S], or on each
     block of a stack (..., m, m).  The non-unitary part is the dissipator of
     ``_dissipator`` (built here unless ``dissipator`` passes it), applied
-    linearly; the digital step exponentiates it.  ``rhs`` keeps a scratch
-    array, so a generator serves one caller at a time.
+    linearly; the digital step exponentiates it.  ``rhs`` keeps scratch
+    arrays, so a generator serves one caller at a time.
     """
 
     def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None, dissipator=None):
@@ -245,25 +246,28 @@ class LindbladGenerator:
         C-contiguous, as returned; other layouts are copied) is an (m, k m) matrix
         for H @ rho and a (k m, m) one for rho @ H: one GEMM each, which round as
         block by block since H is real.  ``out``, a C-contiguous block or a stack
-        laid out as returned, gets the result; it must not overlap ``rho``.
+        laid out as returned, gets the result; it must not overlap ``rho``.  The
+        work array is built once per shape, and for a stack so are the decay in its
+        layout (complex, so the product casts nothing) and the refill's indices into
+        every block: the propagator build's four calls share them.
         """
         m, x = len(self.h), np.ascontiguousarray(rho.swapaxes(0, -2))
         y = np.empty_like(x, dtype=complex) if out is None else out.swapaxes(0, -2)
         if out is not None and (np.shares_memory(out, rho) or not y.flags.c_contiguous):
             raise ValueError("out must not overlap rho and must be laid out as rhs returns")
-        if self._work.shape != x.shape:
-            self._work = np.empty_like(x, dtype=complex)
-        t = self._work
+        k = x.size // (m * m)
+        if self._work.shape != x.shape:  # a new stack: its work array, decay and scatter
+            decay, at = self.decay.reshape(m, *[1] * (x.ndim - 2), m), self._at
+            if k > 1:  # each entry in every block, in layout (m, k, m)
+                decay = np.ascontiguousarray(np.broadcast_to(decay, x.shape), dtype=complex)
+                at = np.array(at)[..., None]
+                at = (at + at // m * ((k - 1) * m) + np.arange(0, k * m, m)).reshape(2, -1)
+            self._work, self._stack = np.empty_like(x, dtype=complex), (decay, *at)
+        t, (decay, lo, hi) = self._work, self._stack
         np.matmul(self.h, x.reshape(m, -1), out=y.reshape(m, -1))
         np.matmul(x.reshape(-1, m), self.h, out=t.reshape(-1, m))
         np.multiply(-1j, np.subtract(y, t, out=y), out=y)
-        np.multiply(self.decay, rho, out=t.swapaxes(0, -2))  # t: decay * rho, laid out as y
-        np.add(y, t, out=y)
-        (lo, hi), k = self._at, x.size // (m * m)
-        if k > 1:  # each entry in every block, in layout (m, k, m)
-            at = np.array(self._at)
-            at = (at + at // m * ((k - 1) * m))[..., None] + np.arange(0, k * m, m)
-            lo, hi = at.reshape(2, -1)
+        np.add(y, np.multiply(decay, x, out=t), out=y)
         v = x.reshape(-1)[hi]
         np.multiply(self._weight, v.reshape(-1, k), out=v.reshape(-1, k))
         np.add.at(y.reshape(-1), lo, v)
@@ -426,11 +430,12 @@ def _record(setup: Setup, step, steps: int, h: float, record_every: int, method:
     """Apply the linear ``step`` to the setup's block ``steps`` times.
 
     With at most ``PROPAGATOR_MAX_STATES`` support states the walk is on the
-    flat m^2 vector, one matvec by ``_propagator(step, m)`` per step, and only
-    a kept vector is viewed as a block.  Every record_every-th and the last
-    block are kept on the support; the Trajectory scatters them into 2^n x 2^n
-    arrays only if its ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES``
-    or over ``STEP_BUDGET`` steps x m^2 are refused before any step.
+    flat m^2 vector, one ``P.dot`` per step with P = ``_propagator(step, m)``
+    (bit for bit ``P @ v``, with less call overhead), and only a kept vector is
+    viewed as a block.  Every record_every-th and the last block are kept on
+    the support; the Trajectory scatters them into 2^n x 2^n arrays only if its
+    ``states`` are read.  Runs over ``RECORD_BUDGET_BYTES`` or over
+    ``STEP_BUDGET`` steps x m^2 are refused before any step.
     """
     rho, m, records = setup.block, len(setup.support), 1 + -(-steps // record_every)
     if records * m * m * 16 > RECORD_BUDGET_BYTES:
@@ -443,7 +448,7 @@ def _record(setup: Setup, step, steps: int, h: float, record_every: int, method:
     # A diverged run is reported by Trajectory's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
         if steps and m <= PROPAGATOR_MAX_STATES:
-            step, rho = _propagator(step, m).__matmul__, rho.reshape(-1)
+            step, rho = _propagator(step, m).dot, rho.reshape(-1)
         for k in range(1, steps + 1):
             rho = step(rho)
             if k % record_every == 0 or k == steps:

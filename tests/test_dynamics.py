@@ -1135,6 +1135,72 @@ def test_flat_walk_matches_block_steps_with_the_same_propagator(n, k, route, mon
         assert_close(got, block)
 
 
+@pytest.mark.parametrize("n, k", [(7, 1), (5, 2)])  # m = 8 and 16
+@pytest.mark.parametrize("route", ROUTES)
+def test_walk_by_dot_is_the_matmul_walk_bit_for_bit(n, k, route, monkeypatch):
+    rng = np.random.default_rng(2500 + 10 * n + k)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    built = spy_propagators(monkeypatch)
+    traj = run_route(route, random_sector_density(n, k, rng), chain_fmo(n, seed=n), noise,
+                     0.3, 0.02, 4)
+    [p] = built
+    v, want = traj.blocks[0].reshape(-1), [traj.blocks[0]]
+    for step in range(1, 16):
+        v = p @ v
+        if step % 4 == 0 or step == 15:
+            want.append(v.reshape(traj.blocks[0].shape))
+    assert len(traj.blocks) == len(want)
+    for got, block in zip(traj.blocks, want):
+        assert got.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (5, 2)])  # m = 8 and 16
+def test_rhs_follows_the_stack_size_from_call_to_call(n, k):
+    # The propagator build stacks m^2 blocks; rhs keeps the scatter and decay of
+    # the last stack size, so a generator handed other sizes in turn must rebuild them.
+    rng = np.random.default_rng(2600 + 10 * n + k)
+    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+    support = _support(random_sector_density(n, k, rng), n)
+    gen, m = LindbladGenerator(chain_fmo(n, seed=n), noise, support), len(support)
+    for lead in ((m * m,), (6,), (2, 3), (m * m,), (), (1,), (6,)):
+        stack = rng.normal(size=(*lead, m, m)) + 1j * rng.normal(size=(*lead, m, m))
+        got = gen.rhs(stack)
+        for idx in np.ndindex(lead):
+            assert_close(got[idx], per_site_rhs(gen, stack[idx]))
+
+
+def per_site_dissipator(noise, support, n):
+    """``_dissipator`` as one pass per site: the decay term and refill triple of site j."""
+    m = len(support)
+    decay = np.zeros((m, m))
+    refill = []
+    for j, (big, small) in enumerate(zip(noise.dissipation, noise.dephasing), 1):
+        bit = 1 << (n - j)
+        occ = (support & bit) != 0
+        a, b = occ[:, None], occ[None, :]
+        decay -= (4.0 * big + small) * (a ^ b) + 8.0 * big * (a & b)
+        if big > 0:
+            hi = np.flatnonzero(occ)
+            lo = np.searchsorted(support, support[hi] ^ bit)
+            lo, hi = ((k[:, None] * m + k).ravel() for k in (lo, hi))
+            refill.append((8.0 * big, lo, hi))
+    return decay, refill
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dissipator_is_the_per_site_pass_bit_for_bit(n):
+    rng = np.random.default_rng(2700 + n)
+    for support in support_cases(n, rng):
+        noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
+        (decay, refill), (want_decay, want_refill) = (
+            f(noise, support, n) for f in (dynamics._dissipator, per_site_dissipator))
+        assert decay.shape == want_decay.shape and decay.tobytes() == want_decay.tobytes()
+        assert len(refill) == len(want_refill) == np.count_nonzero(noise.dissipation)
+        for (w, lo, hi), (want_w, want_lo, want_hi) in zip(refill, want_refill):
+            assert w == want_w
+            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
 # --- H and the step unitary built on the support ----------------------------------------
 
 
