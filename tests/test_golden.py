@@ -7,7 +7,8 @@ different BLAS cannot fail it.  A CSV's header line must match exactly, and its
 cells as numbers within ``print_resolution``: one unit in the 12th significant
 digit that ``%.12g`` prints, and never less than 1e-12.  An evolve case's state
 JSON, which prints every entry with ``repr``, must match byte for byte, so a
-change in the last bit of a state fails it.  A compile case's schedule JSON and
+change in the last bit of a state fails it (a different BLAS may too; the corpus
+is then regenerated and the reason named).  A compile case's schedule JSON and
 circuit text must match byte for byte, and its summary lines as text, except
 ``norm_error`` and ``fidelity``, which are roundoff and must agree within 1e-12.
 """
