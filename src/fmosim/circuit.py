@@ -21,8 +21,8 @@ followed by row-major complex matrix rows.  A KRAUS header carries
 ``ops=<count>``, the derived ``cptp=<status>`` (a value that disagrees with
 the operators is a parse error), ``angles=<alpha>,<beta>`` when the channel
 has them, and ends with ``provenance=<text>``.  Angles and matrix entries
-are printed with 17 significant digits so that parsing an exported program
-reproduces it bit-exactly.
+are printed with 17 significant digits so that exporting a parsed program
+gives back the same bytes.
 """
 
 from __future__ import annotations
@@ -110,15 +110,6 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("repeated qubit in gate")
 
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        if (self.kind, self.qubits, self.angle) != (other.kind, other.qubits, other.angle):
-            return False
-        if self.matrix is None or other.matrix is None:
-            return self.matrix is None and other.matrix is None
-        return bool(np.array_equal(self.matrix, other.matrix))
-
 
 def completeness_deficit(ops: tuple[np.ndarray, ...]) -> float:
     """Max-norm of sum_k K_k^dag K_k - I (zero for a CPTP operator sum)."""
@@ -157,15 +148,6 @@ class KrausChannel:
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "deficit", deficit)
         object.__setattr__(self, "cptp", status)
-
-    def __eq__(self, other):
-        if not isinstance(other, KrausChannel):
-            return NotImplemented
-        return (
-            (self.provenance, self.angles) == (other.provenance, other.angles)
-            and len(self.ops) == len(other.ops)
-            and all(np.array_equal(a, b) for a, b in zip(self.ops, other.ops))
-        )
 
 
 @dataclass(frozen=True)

@@ -212,23 +212,23 @@ def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
 class LindbladGenerator:
     """Precomputed right-hand side of the master equation on a support.
 
-    ``support`` is the sorted array of basis states rho lives on (all 2^n by
-    default); ``rhs`` acts on the m x m support block rho[S, S], or on each
-    block of a stack (..., m, m).  The non-unitary part is the dissipator of
-    ``_dissipator`` (built here unless ``dissipator`` passes it), applied
-    linearly; the digital step exponentiates it.  ``rhs`` keeps scratch
-    arrays, so a generator serves one caller at a time.
+    ``support`` is every basis state of at most K excitations, for some K, in increasing
+    order, as ``_dissipator`` and ``rhs`` assume (any other array is refused); ``rhs``
+    acts on the m x m block rho[S, S], or on each block of a stack (..., m, m).  The
+    non-unitary part is the dissipator of ``_dissipator`` (built here unless
+    ``dissipator`` passes it), applied linearly; the digital step exponentiates it.
+    ``rhs`` keeps scratch arrays, so a generator serves one caller at a time.
     """
 
-    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support=None, dissipator=None):
+    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support, dissipator=None):
         n = fmo.n_sites
         if noise.n_sites != n:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
-        self.n_sites = n
-        if support is None:
-            check_unitary_register(n)  # before the 2^n x 2^n H is allocated
-            support = np.arange(2**n)
-        support = np.asarray(support)
+        support = np.asarray(support)  # increasing and in range: all states of <= K iff as many
+        if not (support.dtype.kind == "i" and support.ndim == 1 and len(support) and 0 <= support[0]
+                and support[-1] < 2**n and (support[1:] > support[:-1]).all() and len(support)
+                == sum(math.comb(n, j) for j in range(_occupations(support, n).sum(0).max() + 1))):
+            raise ValueError("support must be every basis state of at most K excitations, in order")
         terms = (_place(c * TERMS[kind], sites, support, n) for kind, sites, c in fmo_terms(fmo))
         self.h = sum(terms, np.zeros((len(support),) * 2, dtype=complex))
         self.decay, self.refill = dissipator or _dissipator(noise, support, n)

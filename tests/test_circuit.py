@@ -465,7 +465,7 @@ def test_noncptp_operators_refused_however_they_arrive(route, caplog):
     prog = ci.Program(1, (ci.KrausApply(1, ch),))
     if route == "parsed":
         prog = ci.parse_text(NONCPTP_TEXT.format(status=""))
-        assert prog == ci.Program(1, (ci.KrausApply(1, ch),))
+        assert ci.export_text(prog) == ci.export_text(ci.Program(1, (ci.KrausApply(1, ch),)))
 
     def run(**kw):
         if route == "apply_kraus":
@@ -528,8 +528,12 @@ def test_round_trip_fig3_style_circuit():
             ci.MeasureAndDiscard(2),
         ),
     )
-    again = ci.parse_text(ci.export_text(prog))
-    assert again == prog
+    text = ci.export_text(prog)
+    again = ci.parse_text(text)
+    assert ci.export_text(again) == text
+    psi = np.array([0.5, 0.5j, -0.5, 0.5])
+    rho = np.outer(psi, psi.conj())
+    assert np.array_equal(ci.run_density(again, rho), ci.run_density(prog, rho))
 
 
 @st.composite
@@ -564,7 +568,10 @@ def programs(draw):
 @given(programs())
 @settings(max_examples=60, deadline=None)
 def test_round_trip_is_bit_exact(prog):
-    assert ci.parse_text(ci.export_text(prog)) == prog
+    text = ci.export_text(prog)
+    again = ci.parse_text(text)
+    assert ci.export_text(again) == text
+    assert np.array_equal(ci.unitary_of(again), ci.unitary_of(prog))
 
 
 def test_parse_errors_are_informative():
@@ -578,4 +585,4 @@ def test_parse_errors_are_informative():
 
 def test_comments_and_blank_lines_ignored():
     text = "# header\nQUBITS 1\n\nX 1  # flip\n"
-    assert ci.parse_text(text) == ci.Program(1, (ci.x(1),))
+    assert ci.export_text(ci.parse_text(text)) == ci.export_text(ci.Program(1, (ci.x(1),)))

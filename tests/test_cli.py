@@ -399,21 +399,6 @@ def test_outputs_get_the_mode_open_gives_and_write_through_symlinks(tmp_path, ca
     assert link.is_symlink() and (tmp_path / "target.json").read_text() == kept.read_text()
 
 
-def test_evolve_both_refuses_routes_on_different_supports(tmp_path, monkeypatch, capsys):
-    real = cli.integrate_exact
-
-    def full_support(*args, **kwargs):
-        traj = real(*args, **kwargs)
-        return Trajectory(traj.times, traj.states, traj.method, np.arange(2**traj.n_sites),
-                          traj.n_sites)
-
-    monkeypatch.setattr(cli, "integrate_exact", full_support)
-    cfgp = write_config(tmp_path, deep(BASE, (("evolution", "method"), "both")))
-    assert main(["evolve", "--config", cfgp, "--out", str(tmp_path / "t.csv")]) == 2
-    assert "different supports" in capsys.readouterr().err
-    assert not (tmp_path / "t.csv").exists()
-
-
 def test_evolve_bad_initial_state(tmp_path, capsys):
     cfgp = write_config(tmp_path, deep(BASE, (("evolution", "initial_state"), "site9")))
     assert main(["evolve", "--config", cfgp]) == 2

@@ -116,20 +116,12 @@ def test_initial_density_labels():
         initial_density("012", 3)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: initial_density("site1", 11),
-        lambda: LindbladGenerator(chain_fmo(11), NoiseParameters.uniform(11, 0.05, 0.05)),
-    ],
-    ids=["initial_density", "LindbladGenerator"],
-)
-def test_dense_builders_refuse_eleven_sites_before_allocating(build):
+def test_initial_density_refuses_eleven_sites_before_allocating():
     # A 2^11 x 2^11 complex matrix is 64 MiB; refusing first keeps the peak tiny.
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="capped at 10 qubits"):
-            build()
+            initial_density("site1", 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -146,14 +138,14 @@ def test_rhs_matches_naive_operator_form():
     noise = NoiseParameters(rng.uniform(0, 0.4, n), rng.uniform(0, 0.4, n))
     for s in range(10):
         rho = random_density(n, seed=s)
-        got = LindbladGenerator(fmo, noise).rhs(rho)
+        got = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs(rho)
         assert np.abs(got - naive_rhs(rho, fmo, noise)).max() < 1e-13
 
 
 def test_rhs_traceless_and_hermiticity_preserving():
     fmo = chain_fmo(3, seed=3)
     noise = NoiseParameters.uniform(3, 0.2, 0.3)
-    gen = LindbladGenerator(fmo, noise)
+    gen = LindbladGenerator(fmo, noise, np.arange(2**3))
     for s in range(50):
         d = gen.rhs(random_density(3, seed=s))
         assert abs(np.trace(d)) < 1e-12
@@ -164,7 +156,7 @@ def test_rhs_vanishes_on_eigenprojector_without_noise():
     fmo = chain_fmo(3, seed=4)
     _, vecs = np.linalg.eigh(build_fmo_h(fmo))
     proj = np.outer(vecs[:, 2], vecs[:, 2].conj())
-    d = LindbladGenerator(fmo, NoiseParameters.uniform(3, 0, 0)).rhs(proj)
+    d = LindbladGenerator(fmo, NoiseParameters.uniform(3, 0, 0), np.arange(2**3)).rhs(proj)
     assert np.abs(d).max() < 1e-12
 
 
@@ -173,7 +165,7 @@ def test_rhs_single_site_dephasing_rate():
     fmo = FmoParameters(epsilon=np.zeros(1), nu=np.zeros((1, 1)))
     noise = NoiseParameters(np.zeros(1), np.array([0.7]))
     plus = 0.5 * np.ones((2, 2), dtype=complex)
-    d = LindbladGenerator(fmo, noise).rhs(plus)
+    d = LindbladGenerator(fmo, noise, np.arange(2**1)).rhs(plus)
     assert d[0, 1] == pytest.approx(-0.7 * 0.5, abs=1e-14)
     assert abs(d[0, 0]) < 1e-14
 
@@ -182,7 +174,30 @@ def test_rhs_dimension_mismatch():
     with pytest.raises(ValueError):
         integrate_exact(np.eye(4) / 4, chain_fmo(3), NoiseParameters.uniform(3, 0, 0), 0.1, 0.1)
     with pytest.raises(ValueError):
-        LindbladGenerator(chain_fmo(3), NoiseParameters.uniform(4, 0, 0))
+        LindbladGenerator(chain_fmo(3), NoiseParameters.uniform(4, 0, 0), np.arange(2**3))
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        [3, 2, 1, 5, 0, 6, 7, 4],  # every state, out of order: ran, with a wrong rhs
+        [7, 6, 5, 4, 3, 2, 1, 0],  # raised IndexError from the refill's scatter
+        [1, 2, 4],  # one excitation, no ground state: site 1's decay fed |001>
+        [0, 1, 2, 3, 4],  # the one-excitation sector and part of the next
+        [0, 1, 2, 2],  # a duplicated state
+        [0, 1, 2, 8],  # a state outside the 3-site register
+        [-1, 0, 1, 2, 4],
+        [],
+        np.arange(8.0),
+        np.arange(8).reshape(2, 4),
+    ],
+)
+def test_generator_refuses_a_support_it_cannot_step(support):
+    nu = np.diag([0.1, 0.2], 1)
+    fmo = FmoParameters(epsilon=np.array([1.0, 0.8, 1.2]), nu=nu + nu.T)
+    noise = NoiseParameters(np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.0, 0.2]))
+    with pytest.raises(ValueError, match="support must be every basis state"):
+        LindbladGenerator(fmo, noise, support)
 
 
 # --- exact integrator -------------------------------------------------------------
@@ -424,7 +439,7 @@ def test_rhs_matches_gather_refill_reference(n):
     fmo = chain_fmo(n, seed=n)
     noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
     rho = random_density(n, seed=n + 1)
-    got = LindbladGenerator(fmo, noise).rhs(rho)
+    got = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs(rho)
     assert np.abs(got - gather_refill_rhs(rho, fmo, noise)).max() <= 1e-12
 
 
@@ -435,7 +450,7 @@ def test_rk4_step_matches_classical_rk4(n):
     noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
     rho = random_density(n, seed=n + 2)
     h = 0.05
-    rhs = LindbladGenerator(fmo, noise).rhs
+    rhs = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs
     k1 = rhs(rho)
     k2 = rhs(rho + 0.5 * h * k1)
     k3 = rhs(rho + 0.5 * h * k2)
@@ -890,7 +905,7 @@ def test_generator_and_step_keep_the_sector(n):
     weight = excitations(n)
     for k in range(n):
         outside = (weight[:, None] > k) | (weight[None, :] > k)
-        d = LindbladGenerator(fmo, noise).rhs(random_sector_density(n, k, rng))
+        d = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs(random_sector_density(n, k, rng))
         assert np.all(d[outside] == 0)
     other = weight[:, None] != weight[None, :]
     assert np.all(trotter_step(fmo, 0.05)[other] == 0)

@@ -11,6 +11,9 @@ change in the last bit of a state fails it (a different BLAS may too; the corpus
 is then regenerated and the reason named).  A compile case's schedule JSON and
 circuit text must match byte for byte, and its summary lines as text, except
 ``norm_error`` and ``fidelity``, which are roundoff and must agree within 1e-12.
+
+Every checked-in circuit text (each compile case's, and a channel report's) and
+schedule JSON also re-exports byte for byte once read back.
 """
 
 import json
@@ -21,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from fmosim import circuit as ci
+from fmosim.compiler import schedule_from_json, schedule_to_json
 from textcompare import assert_same_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -90,6 +95,20 @@ def test_output_matches_golden_file(name, argv, tmp_path):
             assert_same(got, want, written, print_resolution)
         else:
             assert_same(got, want, written)
+
+
+ARTIFACTS = [*sorted(GOLDEN.glob("compile-*.txt")), *sorted(GOLDEN.glob("compile-*.json")),
+             *(p for p in sorted(GOLDEN.glob("channel-*.json")) if json.loads(p.read_text())["circuit"])]
+
+
+@pytest.mark.parametrize("path", ARTIFACTS, ids=[p.name for p in ARTIFACTS])
+def test_golden_artifact_reexports_byte_for_byte(path):
+    text = path.read_text()
+    if path.name.startswith("compile-") and path.suffix == ".json":
+        assert schedule_to_json(schedule_from_json(text)) == text
+    else:
+        text = json.loads(text)["circuit"] if path.suffix == ".json" else text
+        assert ci.export_text(ci.parse_text(text)) == text
 
 
 @pytest.mark.parametrize("got, want, passes", [
