@@ -16,7 +16,10 @@ The package has three layers:
 ``cli`` exposes the ``fmosim`` command with ``compile``, ``verify``,
 ``evolve`` and ``channel`` subcommands; ``schema`` checks their input
 documents.  Each command loads only the modules it runs: ``evolve`` and a
-config load need neither ``compiler``, ``circuit`` nor ``channels``.
+config load need neither ``compiler``, ``circuit`` nor ``channels``, and a
+config load, ``compile``, ``verify`` and ``channel`` need neither ``dynamics``
+nor ``logging``.  ``cli`` binds the names it takes from ``compiler`` and
+``dynamics`` on first use, from one table (``cli._LAZY_NAMES``).
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ gives back the same bytes.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -36,8 +35,6 @@ import numpy as np
 
 from .qcore import CPTP_VERIFIED_ATOL, SX, UNITARY_ATOL, is_unitary
 from .qcore import check_unitary_register, parse_basis_label
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Gate",
@@ -315,7 +312,9 @@ def run_density(
                         f"channel {ch.provenance!r} violates CPTP (completeness deficit "
                         f"{ch.deficit:.3g}); pass allow_noncptp=True to apply it anyway"
                     )
-                logger.warning(
+                import logging  # loaded by a non-CPTP channel's application only
+
+                logging.getLogger(__name__).warning(
                     "applying non-trace-preserving channel %r (deficit %.3g); "
                     "the output trace will drift",
                     ch.provenance,

@@ -17,12 +17,15 @@ Subcommands:
 which the schedule reader shares, so a schema error of either document is a
 ``schema.ConfigError`` (also importable as ``compiler.ConfigError``).
 
-Each command loads only the modules it runs: ``evolve`` and ``load_config``
-need ``dynamics``, ``hamiltonians``, ``qcore`` and ``schema``; ``compile`` and
-``verify`` add ``compiler`` and ``circuit``, ``channel`` adds ``channels``
+Each command loads only the modules it runs.  ``load_config`` needs
+``hamiltonians`` (which holds the three parameter records), ``qcore`` and
+``schema``; ``evolve`` adds ``dynamics``, ``compile`` and ``verify`` add
+``compiler`` and ``circuit``, and ``channel`` adds ``channels`` and ``circuit``
 (``evolve --lowering compiled-pulses`` loads the compiler from ``dynamics``).
-The compiler's names below are bound into this module on first use, by
-``_bind_compiler`` or an attribute lookup, and are patchable once bound.
+``logging`` is loaded only where a message is logged.  The names a command
+takes from the module it alone loads are listed in one table, ``_LAZY_NAMES``,
+and bound into this module on first use, by ``_bind`` or an attribute lookup;
+they are patchable once bound, and a patched name is kept.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 verification
 failure.  All commands are deterministic given their inputs.
@@ -42,34 +45,32 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .dynamics import (
-    NoiseParameters,
-    Setup,
-    evolve_trotter_open,
-    initial_density,
-    integrate_exact,
-)
-from .hamiltonians import FmoParameters, NmrParameters, nmr_from_fmo
+from .hamiltonians import FmoParameters, NmrParameters, NoiseParameters, nmr_from_fmo
 from .qcore import RegisterTooLarge, trace_distance
 from .schema import ConfigError, _json, _json_object
 
-_COMPILER_NAMES = ("compile_target", "parse_target", "schedule_from_json",
-                   "schedule_program", "schedule_to_json", "verify_schedule")
+# The names each command binds from the one module it alone loads.
+_LAZY_NAMES = {
+    "compiler": ("compile_target", "parse_target", "schedule_from_json",
+                 "schedule_program", "schedule_to_json", "verify_schedule"),
+    "dynamics": ("Setup", "evolve_trotter_open", "initial_density", "integrate_exact"),
+}
 
 
-def _bind_compiler() -> None:
-    """Bind each compiler name not yet bound here (a patched name is kept)."""
-    from . import compiler
-
-    for name in _COMPILER_NAMES:
-        globals().setdefault(name, getattr(compiler, name))
+def _bind(module: str) -> None:
+    """Bind each of ``module``'s names not yet bound here (a patched name is kept)."""
+    # ``from . import <module>``: -X importtime logs it, and not an importlib.import_module.
+    loaded = getattr(__import__(__package__, fromlist=[module]), module)
+    for name in _LAZY_NAMES[module]:
+        globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    if name not in _COMPILER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_compiler()
-    return globals()[name]
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 SCHEMA_VERSION = 1
@@ -251,7 +252,7 @@ def _write(path: str | None, write: Callable[[TextIO], object]) -> None:
 def cmd_compile(args) -> int:
     from . import circuit as ci
 
-    _bind_compiler()
+    _bind("compiler")
     cfg = load_config(args.config)
     sched = compile_target(*parse_target(args.target), args.tau, cfg.nmr)
     report = verify_schedule(sched, cfg.nmr)
@@ -266,7 +267,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _bind_compiler()
+    _bind("compiler")
     cfg = load_config(args.config)
     try:
         with open(args.schedule, encoding="utf-8") as fh:
@@ -279,6 +280,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _bind("dynamics")
     cfg = load_config(args.config)
     method = args.method or cfg.method
     try:

@@ -56,7 +56,6 @@ population lost to the environment (there is no explicit sink site).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,13 +63,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .hamiltonians import TERMS, FmoParameters, fmo_terms, nmr_from_fmo, term_eigen
+from .hamiltonians import (TERMS, FmoParameters, NoiseParameters, fmo_terms, nmr_from_fmo,
+                           term_eigen)
 from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .qcore import check_unitary_register, parse_basis_label
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .schema import _site_number
-
-logger = logging.getLogger(__name__)
 
 PROPAGATOR_MAX_STATES = 16  # largest support stepped by its propagator (README)
 RECORD_BUDGET_BYTES = 1 << 30  # largest total size of one run's recorded blocks
@@ -85,36 +83,6 @@ __all__ = [
     "integrate_exact",
     "evolve_trotter_open",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseParameters:
-    """Per-site dissipation and dephasing rates (all nonnegative)."""
-
-    dissipation: np.ndarray
-    dephasing: np.ndarray
-
-    def __post_init__(self):
-        diss = np.array(self.dissipation, dtype=float)
-        deph = np.array(self.dephasing, dtype=float)
-        if diss.ndim != 1 or deph.shape != diss.shape:
-            raise ValueError("dissipation and dephasing must be equal-length vectors")
-        if np.any(diss < 0) or np.any(deph < 0):
-            raise ValueError("noise rates must be nonnegative")
-        if not (np.all(np.isfinite(diss)) and np.all(np.isfinite(deph))):
-            raise ValueError("noise rates must be finite")
-        diss.setflags(write=False)
-        deph.setflags(write=False)
-        object.__setattr__(self, "dissipation", diss)
-        object.__setattr__(self, "dephasing", deph)
-
-    @property
-    def n_sites(self) -> int:
-        return self.dissipation.shape[0]
-
-    @classmethod
-    def uniform(cls, n: int, dissipation: float, dephasing: float) -> "NoiseParameters":
-        return cls(np.full(n, dissipation), np.full(n, dephasing))
 
 
 def _occupations(states: np.ndarray, n: int) -> np.ndarray:
@@ -557,7 +525,9 @@ def evolve_trotter_open(
     scale = np.exp(h * decay)
     moves = [(lo, hi, 1.0 - math.exp(-weight * h)) for weight, lo, hi in refill]
     if np.any(noise.dephasing > 0):
-        logger.info(
+        import logging  # loaded by a run with dephasing only
+
+        logging.getLogger(__name__).info(
             "dephasing uses the corrected CPTP phase-flip channel; "
             "the verbatim published pair is non-trace-preserving and is "
             "available only behind an explicit override"

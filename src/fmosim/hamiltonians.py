@@ -1,4 +1,6 @@
-"""Hamiltonians of the exciton chain and of the spin-chain simulator.
+"""Hamiltonians of the exciton chain and of the spin-chain simulator, and the
+three parameter records a run configuration holds: ``FmoParameters``,
+``NoiseParameters`` and ``NmrParameters``.
 
 The exciton (FMO) Hamiltonian is a sum of local terms,
 
@@ -42,6 +44,7 @@ __all__ = [
     "term_exp",
     "FmoParameters",
     "NmrParameters",
+    "NoiseParameters",
     "fmo_terms",
     "build_fmo_h",
     "nmr_diagonal",
@@ -138,6 +141,36 @@ class NmrParameters:
     @property
     def n_qubits(self) -> int:
         return self.omega.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseParameters:
+    """Per-site dissipation and dephasing rates (all nonnegative)."""
+
+    dissipation: np.ndarray
+    dephasing: np.ndarray
+
+    def __post_init__(self):
+        diss = np.array(self.dissipation, dtype=float)
+        deph = np.array(self.dephasing, dtype=float)
+        if diss.ndim != 1 or deph.shape != diss.shape:
+            raise ValueError("dissipation and dephasing must be equal-length vectors")
+        if np.any(diss < 0) or np.any(deph < 0):
+            raise ValueError("noise rates must be nonnegative")
+        if not (np.all(np.isfinite(diss)) and np.all(np.isfinite(deph))):
+            raise ValueError("noise rates must be finite")
+        diss.setflags(write=False)
+        deph.setflags(write=False)
+        object.__setattr__(self, "dissipation", diss)
+        object.__setattr__(self, "dephasing", deph)
+
+    @property
+    def n_sites(self) -> int:
+        return self.dissipation.shape[0]
+
+    @classmethod
+    def uniform(cls, n: int, dissipation: float, dephasing: float) -> "NoiseParameters":
+        return cls(np.full(n, dissipation), np.full(n, dephasing))
 
 
 def fmo_terms(p: FmoParameters) -> list[tuple[str, tuple[int, ...], float]]:

@@ -7,6 +7,7 @@ are checked against dense matrix exponentials and single-site closed forms.
 
 import dataclasses
 import io
+import logging
 import math
 import tracemalloc
 
@@ -318,6 +319,17 @@ def test_trotter_states_stay_physical():
     for s in traj.states:
         assert np.abs(s - s.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(s).min() > -1e-7
+
+
+@pytest.mark.parametrize("dephasing", [0.0, 0.2])
+def test_trotter_logs_the_corrected_dephasing_channel_once_when_dephasing(dephasing, caplog):
+    noise = NoiseParameters(np.full(3, 0.1), np.array([0.0, dephasing, 0.0]))
+    with caplog.at_level(logging.INFO, logger="fmosim.dynamics"):
+        evolve_trotter_open(initial_density("site1", 3), chain_fmo(3), noise, 0.3, 0.1)
+    records = [(r.name, r.levelno) for r in caplog.records]
+    assert records == ([("fmosim.dynamics", logging.INFO)] if dephasing else [])
+    if dephasing:
+        assert "corrected CPTP phase-flip channel" in caplog.records[0].getMessage()
 
 
 def test_dense_and_compiled_lowerings_agree():

@@ -1,8 +1,11 @@
 """Each command loads only the modules it runs, checked in fresh interpreters.
 
 ``evolve`` with the ``dense-blocks`` step and ``load_config`` must not load the
-compiler, the circuit IR or the channel layer; the commands that do use them
-still run, and the benchmark's span tracer still sees every compiler span
+compiler, the circuit IR or the channel layer.  ``load_config``, ``compile``,
+``verify`` and ``channel`` must not load the dynamics layer or ``logging``, and
+``evolve --method exact`` must not load ``logging``: the one module-level
+logger call of each route imports it where it logs.  The commands that do use
+these modules still run, and the benchmark's span tracer still sees every span
 through the names ``cli`` binds on first use.  Every name a module lists in
 ``__all__`` resolves.
 """
@@ -24,13 +27,14 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "example.json")
 SRC = str(Path(fmosim.__file__).resolve().parents[1])
 HEAVY = {"fmosim.compiler", "fmosim.circuit", "fmosim.channels"}
+EVOLVE_ONLY = {"fmosim.dynamics", "logging"}
 
 RUN = """
 import json, sys
 from fmosim.cli import load_config, main
 argv = json.loads(sys.argv[1])
 rc = main(argv) if argv else load_config(sys.argv[2]) and 0
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("fmosim"))]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("fmosim") or m == "logging")]))
 """
 
 
@@ -44,7 +48,8 @@ def fresh(code: str, *args: str) -> str:
 
 
 def run_fresh(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code of ``main(argv)`` (``load_config`` for no argv) and the fmosim modules loaded."""
+    """Exit code of ``main(argv)`` (``load_config`` for no argv) and the modules loaded of
+    fmosim's and ``logging``."""
     rc, loaded = json.loads(fresh(RUN, json.dumps(argv), CONFIG).splitlines()[-1])
     return rc, set(loaded)
 
@@ -66,12 +71,29 @@ def test_every_name_a_module_exports_resolves_once():
 
 def test_config_loading_and_dense_evolve_load_no_compiler_circuit_or_channels(tmp_path):
     rc, loaded = run_fresh([])
-    assert rc == 0 and not loaded & HEAVY, loaded
+    assert rc == 0 and not loaded & (HEAVY | EVOLVE_ONLY), loaded
     argv = ["evolve", "--config", CONFIG, "--lowering", "dense-blocks", "--record-every", "25",
             "--out", str(tmp_path / "traj.csv")]
     rc, loaded = run_fresh(argv)
     assert rc == 0 and not loaded & HEAVY, loaded
+    assert loaded >= EVOLVE_ONLY, loaded  # the example's dephasing is logged, so logging shows
     assert (tmp_path / "traj.csv").stat().st_size > 0
+
+
+def test_exact_evolve_loads_no_logging(tmp_path):
+    argv = ["evolve", "--config", CONFIG, "--method", "exact", "--record-every", "25",
+            "--out", str(tmp_path / "traj.csv")]
+    rc, loaded = run_fresh(argv)
+    assert rc == 0 and "fmosim.dynamics" in loaded, loaded
+    assert not loaded & (HEAVY | {"logging"}), loaded
+    assert (tmp_path / "traj.csv").stat().st_size > 0
+
+
+def test_noise_parameters_are_one_class_in_hamiltonians():
+    from fmosim import cli, dynamics, hamiltonians
+
+    assert dynamics.NoiseParameters is hamiltonians.NoiseParameters
+    assert cli.NoiseParameters is hamiltonians.NoiseParameters
 
 
 @pytest.mark.parametrize("command", ["compile", "verify-opaque", "verify-gates", "channel",
@@ -94,11 +116,13 @@ def test_commands_that_load_the_compiler_or_channels_run_in_a_fresh_process(comm
     assert rc == 0
     unused = "fmosim.compiler" if command == "channel" else "fmosim.channels"
     assert loaded & HEAVY == HEAVY - {unused}, loaded
+    if not command.startswith("evolve"):
+        assert not loaded & EVOLVE_ONLY, loaded
 
 
 TRACED = """
-import importlib.util, json, sys
-from fmosim import cli, compiler
+import importlib, importlib.util, json, sys
+from fmosim import cli
 spec = importlib.util.spec_from_file_location("fmosim_bench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 sys.modules[spec.name] = tracing  # dataclasses look the module up
@@ -113,7 +137,8 @@ try:
 finally:
     tracing.uninstall(undo)
 restored = all(getattr(owner, attr) is fn for owner, attr, fn in undo) and all(
-    getattr(cli, name) is getattr(compiler, name) for name in cli._COMPILER_NAMES)
+    getattr(cli, name) is getattr(importlib.import_module(f"fmosim.{module}"), name)
+    for module, names in cli._LAZY_NAMES.items() for name in names)
 calls = {name: st.calls for name, st in tracer.reset().items()}
 print(json.dumps({"rcs": rcs, "restored": restored, "calls": calls}))
 """
