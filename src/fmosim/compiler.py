@@ -586,7 +586,14 @@ def _gates_from_list(values, where: str) -> tuple[ci.Gate, ...]:
     return tuple(_gate_from_dict(g, at) for g, at in _json_list(values, where))
 
 
-def _flat_dict(s: PulseSchedule) -> dict:
+def _check_duration(duration: float, where: str) -> None:
+    """Refuse a negative interval duration: the writer and the reader share the rule."""
+    if duration < 0:
+        raise ConfigError(f"{where}.interval_duration is negative; no pulse sequence runs backward")
+
+
+def _flat_dict(s: PulseSchedule, where: str) -> dict:
+    _check_duration(s.interval_duration, where)
     return {
         "n_qubits": s.n_qubits,
         "interval_duration": s.interval_duration,
@@ -601,8 +608,7 @@ def _flat_from_dict(d, where: str) -> PulseSchedule:
     _json_object(d, where, required, {"intervals", "target"})
     layers = _json_list(d["pulse_layers"], f"{where}.pulse_layers")
     duration = float(_json(d["interval_duration"], "a finite number", f"{where}.interval_duration"))
-    if duration < 0:
-        raise ConfigError(f"{where}.interval_duration is negative; no pulse sequence runs backward")
+    _check_duration(duration, where)
     s = PulseSchedule(
         _json(d["n_qubits"], "an integer", f"{where}.n_qubits"),
         duration,
@@ -616,20 +622,14 @@ def _flat_from_dict(d, where: str) -> PulseSchedule:
 
 
 def schedule_to_json(sched: PulseSchedule | ConjugatedSchedule) -> str:
+    """The document ``schedule_from_json`` reads; it too refuses a negative interval duration."""
     if isinstance(sched, PulseSchedule):
-        return json.dumps(_flat_dict(sched), indent=2) + "\n"
-    doc = {
-        "n_qubits": sched.n_qubits,
-        "target": sched.target,
-        "segments": [
-            {
-                "pre": [_gate_to_dict(g) for g in seg.pre],
-                "schedule": _flat_dict(seg.schedule),
-                "post": [_gate_to_dict(g) for g in seg.post],
-            }
-            for seg in sched.segments
-        ],
-    }
+        return json.dumps(_flat_dict(sched, "schedule"), indent=2) + "\n"
+    segments = [{"pre": [_gate_to_dict(g) for g in seg.pre],
+                 "schedule": _flat_dict(seg.schedule, f"schedule.segments[{i}].schedule"),
+                 "post": [_gate_to_dict(g) for g in seg.post]}
+                for i, seg in enumerate(sched.segments)]
+    doc = {"n_qubits": sched.n_qubits, "target": sched.target, "segments": segments}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -35,14 +35,15 @@ keeps it, so every term maps |a><b| with a and b on the support into the span
 of such elements; the step unitary likewise does not couple excitation numbers
 (to roundoff for ``compiled-pulses``), so its support block is the step.  For
 ``siteK`` the support is the n + 1 states with at most one excitation; a
-full-rank rho0 has the full support of 2^n states, with the same code.  H is
-the sum of the terms' m x m support blocks (``_place``), and the ``dense-blocks``
-step the ordered product, sector by sector, of the blocks of their exponentials:
-every factor conserves the excitation number and the support is a union of
-whole sectors, so the product of blocks is the block of the product.  The
-``compiled-pulses`` step applies each schedule to the support's 2^n x m
-columns.  rho0 is a dense 2^n x 2^n array, so both routes are capped at 10
-sites.  Either step is a
+full-rank rho0 has the full support of 2^n states, with the same code.  A run's
+``Setup`` holds its parameters, support, rho0's block and dissipator, and both
+routes and ``LindbladGenerator`` read it.  H is the sum of the terms' m x m
+support blocks (``_hamiltonian``), and the ``dense-blocks`` step the ordered
+product, sector by sector, of the blocks of their exponentials: every factor
+conserves the excitation number and the support is a union of whole sectors,
+so the product of blocks is the block of the product.  The ``compiled-pulses``
+step applies each schedule to the support's 2^n x m columns.  rho0 is a dense
+2^n x 2^n array, so both routes are capped at 10 sites.  Either step is a
 fixed linear map of the support block; the shared loop ``_record`` applies it
 as one m^2 x m^2 matvec on at most ``PROPAGATOR_MAX_STATES`` (16) states, else
 by calling the step.  A run's records stay on the support, as one read-only
@@ -66,7 +67,7 @@ import numpy as np
 from .hamiltonians import (TERMS, FmoParameters, NoiseParameters, fmo_terms, nmr_from_fmo,
                            term_eigen)
 from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
-from .qcore import check_unitary_register, parse_basis_label
+from .qcore import _occupations, check_unitary_register, parse_basis_label
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .schema import _site_number
 
@@ -76,6 +77,7 @@ STEP_BUDGET = 1 << 34  # largest steps x m^2 of one run (README)
 
 __all__ = [
     "NoiseParameters",
+    "Setup",
     "Trajectory",
     "site_populations",
     "initial_density",
@@ -83,11 +85,6 @@ __all__ = [
     "integrate_exact",
     "evolve_trotter_open",
 ]
-
-
-def _occupations(states: np.ndarray, n: int) -> np.ndarray:
-    """(n, len(states)) table of 0/1: row j - 1 holds site j's bit of each basis state."""
-    return (states >> np.arange(n - 1, -1, -1)[:, None]) & 1
 
 
 def site_populations(rho: np.ndarray) -> np.ndarray:
@@ -177,29 +174,24 @@ def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
                    for g, i, j in zip(noise.dissipation, [0, *cuts], cuts) if g > 0]
 
 
-class LindbladGenerator:
-    """Precomputed right-hand side of the master equation on a support.
+def _hamiltonian(fmo: FmoParameters, support: np.ndarray, n: int) -> np.ndarray:
+    """H's m x m support block: the sum of the chain terms' blocks placed by ``_place``."""
+    terms = (_place(c * TERMS[kind], sites, support, n) for kind, sites, c in fmo_terms(fmo))
+    return sum(terms, np.zeros((len(support),) * 2, dtype=complex))
 
-    ``support`` is every basis state of at most K excitations, for some K, in increasing
-    order, as ``_dissipator`` and ``rhs`` assume (any other array is refused); ``rhs``
-    acts on the m x m block rho[S, S], or on each block of a stack (..., m, m).  The
-    non-unitary part is the dissipator of ``_dissipator`` (built here unless
-    ``dissipator`` passes it), applied linearly; the digital step exponentiates it.
-    ``rhs`` keeps scratch arrays, so a generator serves one caller at a time.
+
+class LindbladGenerator:
+    """Precomputed right-hand side of the master equation on a run's ``Setup``.
+
+    H is ``_hamiltonian`` on the setup's support and the non-unitary part is its
+    dissipator, applied linearly (the digital step exponentiates it).  ``rhs`` acts
+    on the m x m block rho[S, S], or on each block of a stack (..., m, m); it keeps
+    scratch arrays, so a generator serves one caller at a time.
     """
 
-    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, support, dissipator=None):
-        n = fmo.n_sites
-        if noise.n_sites != n:
-            raise ValueError("noise and Hamiltonian parameters disagree on size")
-        support = np.asarray(support)  # increasing and in range: all states of <= K iff as many
-        if not (support.dtype.kind == "i" and support.ndim == 1 and len(support) and 0 <= support[0]
-                and support[-1] < 2**n and (support[1:] > support[:-1]).all() and len(support)
-                == sum(math.comb(n, j) for j in range(_occupations(support, n).sum(0).max() + 1))):
-            raise ValueError("support must be every basis state of at most K excitations, in order")
-        terms = (_place(c * TERMS[kind], sites, support, n) for kind, sites, c in fmo_terms(fmo))
-        self.h = sum(terms, np.zeros((len(support),) * 2, dtype=complex))
-        self.decay, self.refill = dissipator or _dissipator(noise, support, n)
+    def __init__(self, setup: Setup):
+        self.h = _hamiltonian(setup.fmo, setup.support, setup.n_sites)
+        self.decay, self.refill = setup.dissipator
         # The refill as one scatter-add of every site's entries, in site order.
         none = np.zeros(0, dtype=np.intp)
         weight, lo, hi = zip(*self.refill or [(0.0, none, none)])
@@ -372,10 +364,12 @@ def _step_grid(t_max: float, dt: float, record_every: int) -> tuple[int, float]:
 
 
 class Setup:
-    """rho0's ``block`` on its ``support`` of an ``n_sites`` register, from rho0
-    checked against the parameters, and the ``dissipator`` on that support."""
+    """A run's parameters ``fmo`` and ``noise``, checked to agree on ``n_sites``, rho0's
+    ``support`` and its ``block`` on it, and the ``dissipator`` there: everything that
+    steps the run reads it, so all share one parameter set and one support."""
 
     def __init__(self, rho0, fmo: FmoParameters, noise: NoiseParameters):
+        self.fmo, self.noise = fmo, noise
         self.n_sites = n = fmo.n_sites
         if noise.n_sites != n:
             raise ValueError("noise and Hamiltonian parameters disagree on size")
@@ -439,12 +433,11 @@ def integrate_exact(
     The step is shrunk to divide t_max exactly; states are recorded every
     ``record_every`` steps (and always at t_max).  A step is one matvec on at
     most ``PROPAGATOR_MAX_STATES`` support states, else four ``rhs`` calls
-    into two work blocks.  ``setup``, if given, must be ``Setup(rho0, fmo,
-    noise)``; rho0 is then not read.
+    into two work blocks.  ``setup``, if given, is read instead of rho0, fmo and noise.
     """
     steps, h = _step_grid(t_max, dt, record_every)
     setup = setup or Setup(rho0, fmo, noise)
-    gen = LindbladGenerator(fmo, noise, setup.support, setup.dissipator)
+    gen = LindbladGenerator(setup)
     work = np.empty((2, *setup.block.shape), dtype=complex)
 
     def rk4(rho):
@@ -513,18 +506,18 @@ def evolve_trotter_open(
     selects how ``_step_unitary`` builds the step on the support: as the
     product of each term's exponential placed on it (``dense-blocks``), or
     from each term's compiled X-pulse schedule (``compiled-pulses``,
-    nearest-neighbour couplings only).  ``setup``, if given, must be
-    ``Setup(rho0, fmo, noise)``; rho0 is then not read.
+    nearest-neighbour couplings only).  ``setup``, if given, is read instead of
+    rho0, fmo and noise.
     """
     steps, h = _step_grid(t_max, dt, record_every)
     setup = setup or Setup(rho0, fmo, noise)
-    u = _step_unitary(fmo, h, lowering, setup.support)
+    u = _step_unitary(setup.fmo, h, lowering, setup.support)
     uh = u.conj().T
 
     decay, refill = setup.dissipator
     scale = np.exp(h * decay)
     moves = [(lo, hi, 1.0 - math.exp(-weight * h)) for weight, lo, hi in refill]
-    if np.any(noise.dephasing > 0):
+    if np.any(setup.noise.dephasing > 0):
         import logging  # loaded by a run with dephasing only
 
         logging.getLogger(__name__).info(

@@ -35,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .qcore import SX, SY, SZ, check_unitary_register, matexp_hermitian
+from .qcore import SX, SY, SZ, _occupations, check_unitary_register, matexp_hermitian
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
@@ -198,8 +198,7 @@ def build_fmo_h(p: FmoParameters) -> np.ndarray:
 
 def nmr_diagonal(p: NmrParameters) -> np.ndarray:
     """Diagonal of H_NMR as a length-2^n real vector."""
-    n = p.n_qubits
-    signs = 1 - 2 * ((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    signs = 1 - 2 * _occupations(np.arange(2**p.n_qubits), p.n_qubits)
     # Row by row, so the J terms add in site order.
     return np.add.reduce([0.5 * p.omega @ signs, *(p.j[:, None] * signs[:-1] * signs[1:])], axis=0)
 

@@ -61,6 +61,11 @@ SCHEDULE_VERIFY_ATOL = 1e-8
 CPTP_VERIFIED_ATOL = 1e-10
 
 
+def _occupations(states: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(states)) table of 0/1: row j - 1 holds site j's bit of each basis state."""
+    return (states >> np.arange(n - 1, -1, -1)[:, None]) & 1
+
+
 def pauli_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator on qubit ``site`` (1-based) of an n-qubit register."""
     if not 1 <= site <= n:

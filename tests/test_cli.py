@@ -257,10 +257,20 @@ def test_evolve_both_shares_one_setup_and_matches_the_routes_run_alone(tmp_path,
         monkeypatch.setattr(cli, name, spy)
     built, dissipator = [], dynamics._dissipator
     monkeypatch.setattr(dynamics, "_dissipator", lambda *a: built.append(a) or dissipator(*a))
+    generators = []
+
+    class Generator(dynamics.LindbladGenerator):
+        def __init__(self, setup):
+            super().__init__(setup)
+            generators.append(self)
+
+    monkeypatch.setattr(dynamics, "LindbladGenerator", Generator)
     argv = ["evolve", "--config", cfgp, "--record-every", "3", "--out"]
     assert main(argv + [str(tmp_path / "both.csv"), "--method", "both"]) == 0
     (setup, digital), (shared, exact) = runs["evolve_trotter_open"], runs["integrate_exact"]
     assert setup is shared and len(setup.support) == 11 and len(built) == 1
+    [gen] = generators  # the exact route's generator steps the shared setup's dissipator
+    assert gen.decay is setup.dissipator[0] and gen.refill is setup.dissipator[1]
     cfg = load_config(cfgp)
     rho0 = initial_density("1100", 4)
     alone = [evolve_trotter_open(rho0, cfg.fmo, cfg.noise, cfg.t_max, cfg.dt, record_every=3),

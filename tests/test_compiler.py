@@ -246,6 +246,22 @@ def test_negative_pulse_times_are_refused_at_the_inputs(kind, sites):
         schedule_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "compile_, sites", [(compile_single_z, 3), (compile_zz, (2, 3)), (compile_xy, (4, 5))]
+)
+def test_schedule_writer_refuses_what_the_reader_refuses(compile_, sites):
+    # The per-kind compilers realize tau < 0, but no document the reader refuses
+    # is written: the writer raises the reader's error, at the same field path.
+    p = params7()
+    at = re.escape("schedule.segments[0].schedule" if compile_ is compile_xy else "schedule")
+    for tau in (-0.5, -1e-300):
+        with pytest.raises(ValueError, match=rf"^{at}\.interval_duration is negative; no pulse"):
+            schedule_to_json(compile_(sites, tau, p))
+    for tau in (0.0, -0.0, 0.7316):
+        text = schedule_to_json(compile_(sites, tau, p))
+        assert schedule_to_json(schedule_from_json(text)) == text
+
+
 def test_effective_coefficients_predictor():
     p = params7(seed=5)
     tau = 0.7

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmosim import circuit as ci
 from fmosim import dynamics
@@ -25,6 +27,7 @@ from fmosim.compiler import compile_target, schedule_program
 from fmosim.dynamics import (
     LindbladGenerator,
     NoiseParameters,
+    Setup,
     Trajectory,
     _step_unitary,
     _support,
@@ -53,6 +56,12 @@ def chain_fmo(n, seed=0, coupling=0.3):
     for j in range(n - 1):
         nu[j, j + 1] = nu[j + 1, j] = rng.uniform(-coupling, coupling)
     return FmoParameters(epsilon=rng.uniform(0.5, 1.5, n), nu=nu)
+
+
+def full_generator(fmo, noise):
+    """The generator on the full space: a full-rank rho0's support is every basis state."""
+    n = fmo.n_sites
+    return LindbladGenerator(Setup(np.eye(2**n) / 2**n, fmo, noise))
 
 
 def random_density(n, seed=0):
@@ -139,14 +148,14 @@ def test_rhs_matches_naive_operator_form():
     noise = NoiseParameters(rng.uniform(0, 0.4, n), rng.uniform(0, 0.4, n))
     for s in range(10):
         rho = random_density(n, seed=s)
-        got = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs(rho)
+        got = full_generator(fmo, noise).rhs(rho)
         assert np.abs(got - naive_rhs(rho, fmo, noise)).max() < 1e-13
 
 
 def test_rhs_traceless_and_hermiticity_preserving():
     fmo = chain_fmo(3, seed=3)
     noise = NoiseParameters.uniform(3, 0.2, 0.3)
-    gen = LindbladGenerator(fmo, noise, np.arange(2**3))
+    gen = full_generator(fmo, noise)
     for s in range(50):
         d = gen.rhs(random_density(3, seed=s))
         assert abs(np.trace(d)) < 1e-12
@@ -157,7 +166,7 @@ def test_rhs_vanishes_on_eigenprojector_without_noise():
     fmo = chain_fmo(3, seed=4)
     _, vecs = np.linalg.eigh(build_fmo_h(fmo))
     proj = np.outer(vecs[:, 2], vecs[:, 2].conj())
-    d = LindbladGenerator(fmo, NoiseParameters.uniform(3, 0, 0), np.arange(2**3)).rhs(proj)
+    d = full_generator(fmo, NoiseParameters.uniform(3, 0, 0)).rhs(proj)
     assert np.abs(d).max() < 1e-12
 
 
@@ -166,7 +175,7 @@ def test_rhs_single_site_dephasing_rate():
     fmo = FmoParameters(epsilon=np.zeros(1), nu=np.zeros((1, 1)))
     noise = NoiseParameters(np.zeros(1), np.array([0.7]))
     plus = 0.5 * np.ones((2, 2), dtype=complex)
-    d = LindbladGenerator(fmo, noise, np.arange(2**1)).rhs(plus)
+    d = full_generator(fmo, noise).rhs(plus)
     assert d[0, 1] == pytest.approx(-0.7 * 0.5, abs=1e-14)
     assert abs(d[0, 0]) < 1e-14
 
@@ -175,30 +184,7 @@ def test_rhs_dimension_mismatch():
     with pytest.raises(ValueError):
         integrate_exact(np.eye(4) / 4, chain_fmo(3), NoiseParameters.uniform(3, 0, 0), 0.1, 0.1)
     with pytest.raises(ValueError):
-        LindbladGenerator(chain_fmo(3), NoiseParameters.uniform(4, 0, 0), np.arange(2**3))
-
-
-@pytest.mark.parametrize(
-    "support",
-    [
-        [3, 2, 1, 5, 0, 6, 7, 4],  # every state, out of order: ran, with a wrong rhs
-        [7, 6, 5, 4, 3, 2, 1, 0],  # raised IndexError from the refill's scatter
-        [1, 2, 4],  # one excitation, no ground state: site 1's decay fed |001>
-        [0, 1, 2, 3, 4],  # the one-excitation sector and part of the next
-        [0, 1, 2, 2],  # a duplicated state
-        [0, 1, 2, 8],  # a state outside the 3-site register
-        [-1, 0, 1, 2, 4],
-        [],
-        np.arange(8.0),
-        np.arange(8).reshape(2, 4),
-    ],
-)
-def test_generator_refuses_a_support_it_cannot_step(support):
-    nu = np.diag([0.1, 0.2], 1)
-    fmo = FmoParameters(epsilon=np.array([1.0, 0.8, 1.2]), nu=nu + nu.T)
-    noise = NoiseParameters(np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.0, 0.2]))
-    with pytest.raises(ValueError, match="support must be every basis state"):
-        LindbladGenerator(fmo, noise, support)
+        full_generator(chain_fmo(3), NoiseParameters.uniform(4, 0, 0))
 
 
 # --- exact integrator -------------------------------------------------------------
@@ -451,7 +437,7 @@ def test_rhs_matches_gather_refill_reference(n):
     fmo = chain_fmo(n, seed=n)
     noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
     rho = random_density(n, seed=n + 1)
-    got = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs(rho)
+    got = full_generator(fmo, noise).rhs(rho)
     assert np.abs(got - gather_refill_rhs(rho, fmo, noise)).max() <= 1e-12
 
 
@@ -462,7 +448,7 @@ def test_rk4_step_matches_classical_rk4(n):
     noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
     rho = random_density(n, seed=n + 2)
     h = 0.05
-    rhs = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs
+    rhs = full_generator(fmo, noise).rhs
     k1 = rhs(rho)
     k2 = rhs(rho + 0.5 * h * k1)
     k3 = rhs(rho + 0.5 * h * k2)
@@ -906,6 +892,44 @@ def test_support_is_the_reachable_excitation_sector():
     assert _support(random_density(3), 3).tolist() == list(range(8))
 
 
+@st.composite
+def patterned_densities(draw):
+    """(n, rho0): nonzero entries on the diagonal only, off it only, nowhere, or everywhere."""
+    n = draw(st.integers(1, 8))
+    dim, pattern = 2**n, draw(st.sampled_from(["diagonal", "coherences", "zero", "full rank"]))
+    if pattern == "full rank":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return n, a @ a.conj().T
+    state = st.integers(0, dim - 1)
+    entries = {
+        "diagonal": st.lists(state.map(lambda a: (a, a)), max_size=6),
+        "coherences": st.lists(st.tuples(state, state).filter(lambda ab: ab[0] != ab[1]),
+                               max_size=6),
+        "zero": st.just([]),
+    }[pattern]
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    for a, b in draw(entries):  # one-sided coherences too: a row or a column sets K
+        rho0[a, b] = draw(st.sampled_from([1.0, 1e-300, -0.5j]))
+    return n, rho0
+
+
+@given(patterned_densities())
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+def test_support_is_every_state_up_to_the_largest_used_excitation_number(case):
+    # The generator and both steps assume this of the support; nothing else checks it.
+    n, rho0 = case
+    weight = excitations(n)
+    rows, cols = np.nonzero(rho0)
+    k = max(weight[rows].max(initial=0), weight[cols].max(initial=0))
+    want = [a for a in range(2**n) if weight[a] <= k]
+    support = _support(rho0, n)
+    assert support.dtype.kind == "i" and support.tolist() == want  # so increasing
+    setup = Setup(rho0, chain_fmo(n), NoiseParameters.uniform(n, 0.1, 0.1))
+    assert setup.support.tolist() == want
+    assert np.array_equal(setup.block, rho0[np.ix_(want, want)])
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_generator_and_step_keep_the_sector(n):
     # The exactness argument of the support: the generator maps a state on
@@ -917,7 +941,7 @@ def test_generator_and_step_keep_the_sector(n):
     weight = excitations(n)
     for k in range(n):
         outside = (weight[:, None] > k) | (weight[None, :] > k)
-        d = LindbladGenerator(fmo, noise, np.arange(2**n)).rhs(random_sector_density(n, k, rng))
+        d = full_generator(fmo, noise).rhs(random_sector_density(n, k, rng))
         assert np.all(d[outside] == 0)
     other = weight[:, None] != weight[None, :]
     assert np.all(trotter_step(fmo, 0.05)[other] == 0)
@@ -950,6 +974,22 @@ def spy_propagators(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_route_given_a_setup_reads_the_run_from_it(route):
+    # With a setup, the state and parameter arguments are not read: the step, the
+    # generator and the dissipator all take the setup's one parameter set.
+    rng = np.random.default_rng(880)
+    fmo, noise = chain_fmo(4, seed=4), NoiseParameters(random_rates(4, rng), random_rates(4, rng))
+    rho0 = random_sector_density(4, 2, rng)
+    want = run_route(route, rho0, fmo, noise, 0.2, 0.05, 1)
+    if route == "exact":
+        got = integrate_exact(None, None, None, 0.2, 0.05, 1, setup=Setup(rho0, fmo, noise))
+    else:
+        got = evolve_trotter_open(None, None, None, 0.2, 0.05, route, 1,
+                                  setup=Setup(rho0, fmo, noise))
+    assert got.times == want.times and got.blocks.tobytes() == want.blocks.tobytes()
+
+
 @pytest.mark.parametrize("n, k", PROPAGATOR_CASES)
 @pytest.mark.parametrize("route", ROUTES)
 def test_propagator_stepping_matches_the_step_function(n, k, route, monkeypatch):
@@ -979,9 +1019,8 @@ def test_propagator_stepping_matches_the_step_function(n, k, route, monkeypatch)
 def test_stacked_rhs_matches_one_block_at_a_time(n, k):
     rng = np.random.default_rng(950 + n + k)
     noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
-    support = _support(random_sector_density(n, k, rng), n)
-    gen = LindbladGenerator(chain_fmo(n, seed=n), noise, support)
-    m = len(support)
+    gen = LindbladGenerator(Setup(random_sector_density(n, k, rng), chain_fmo(n, seed=n), noise))
+    m = len(gen.h)
     stack = rng.normal(size=(2, 3, m, m)) + 1j * rng.normal(size=(2, 3, m, m))
     got = gen.rhs(stack)
     assert got.shape == stack.shape
@@ -1083,7 +1122,7 @@ def test_stack_kernels_match_one_block_at_a_time(n, k, monkeypatch):
     rho0 = random_sector_density(n, k, rng)
     support = _support(rho0, n)
     m, h = len(support), 0.05
-    gen = LindbladGenerator(fmo, noise, support)
+    gen = LindbladGenerator(Setup(rho0, fmo, noise))
     trotter = recorded_step(monkeypatch, lambda: evolve_trotter_open(rho0, fmo, noise, 0.0, h))
     u = _step_unitary(fmo, h, "dense-blocks", support)
 
@@ -1112,9 +1151,10 @@ def test_buffered_rk4_steps_match_the_allocating_form(k):
     rng = np.random.default_rng(2200 + k)
     fmo = chain_fmo(7, seed=7)
     noise = NoiseParameters(random_rates(7, rng), random_rates(7, rng))
-    traj = integrate_exact(random_sector_density(7, k, rng), fmo, noise, 0.1, 0.02)
+    rho0 = random_sector_density(7, k, rng)
+    traj = integrate_exact(rho0, fmo, noise, 0.1, 0.02)
     assert len(traj.support) == {2: 29, 7: 128}[k] and len(traj.blocks) == 6
-    gen, h = LindbladGenerator(fmo, noise, traj.support), traj.times[1]
+    gen, h = LindbladGenerator(Setup(rho0, fmo, noise)), traj.times[1]
     rho = traj.blocks[0]
     for got in traj.blocks[1:]:
         acc = rho
@@ -1127,7 +1167,7 @@ def test_buffered_rk4_steps_match_the_allocating_form(k):
 def test_rhs_refuses_an_out_that_overlaps_rho():
     rng = np.random.default_rng(2300)
     noise = NoiseParameters(random_rates(7, rng), random_rates(7, rng))
-    gen = LindbladGenerator(chain_fmo(7, seed=7), noise, _support(initial_density("site1", 7), 7))
+    gen = LindbladGenerator(Setup(initial_density("site1", 7), chain_fmo(7, seed=7), noise))
     m = len(gen.h)
     buf = rng.normal(size=m * m + m) + 1j * rng.normal(size=m * m + m)
     rho, shifted = buf[: m * m].reshape(m, m), buf[m:].reshape(m, m)
@@ -1187,8 +1227,8 @@ def test_rhs_follows_the_stack_size_from_call_to_call(n, k):
     # the last stack size, so a generator handed other sizes in turn must rebuild them.
     rng = np.random.default_rng(2600 + 10 * n + k)
     noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
-    support = _support(random_sector_density(n, k, rng), n)
-    gen, m = LindbladGenerator(chain_fmo(n, seed=n), noise, support), len(support)
+    gen = LindbladGenerator(Setup(random_sector_density(n, k, rng), chain_fmo(n, seed=n), noise))
+    m = len(gen.h)
     for lead in ((m * m,), (6,), (2, 3), (m * m,), (), (1,), (6,)):
         stack = rng.normal(size=(*lead, m, m)) + 1j * rng.normal(size=(*lead, m, m))
         got = gen.rhs(stack)
@@ -1245,12 +1285,11 @@ def test_support_builds_match_the_cut_full_space_builds(n):
     rng = np.random.default_rng(1600 + n)
     fmo = random_couplings(n, rng)  # the long-range pair (1, n) places non-adjacent terms
     chain = FmoParameters(fmo.epsilon, np.triu(np.tril(fmo.nu, 1), -1))  # compiled needs bonds
-    noise = NoiseParameters(random_rates(n, rng), random_rates(n, rng))
     dt = float(rng.uniform(0.01, 0.5))
     h, step, replay = build_fmo_h(fmo), trotter_step(fmo, dt), ir_replay_step_unitary(chain, dt)
     for s in support_cases(n, rng):
         cut = np.ix_(s, s)
-        assert np.array_equal(LindbladGenerator(fmo, noise, s).h, h[cut])
+        assert np.array_equal(dynamics._hamiltonian(fmo, s, n), h[cut])
         assert np.abs(_step_unitary(fmo, dt, "dense-blocks", s) - step[cut]).max() <= 1e-14
         got = _step_unitary(chain, dt, "compiled-pulses", s)
         assert np.abs(got - replay[cut]).max() <= 1e-13
@@ -1281,14 +1320,14 @@ def test_support_builds_past_ten_sites_are_the_single_excitation_matrices():
     # On |0...0> and |j> (site j excited), Z_s is +1 or -1 and XX + YY swaps |j>
     # and |l> with amplitude 2, so H and each step factor are known at any n.
     n, dt = 30, 0.05
-    fmo, noise = chain_fmo(n, seed=30), NoiseParameters.uniform(n, 0.05, 0.05)
+    fmo = chain_fmo(n, seed=30)
     support = np.array([0] + [1 << (n - j) for j in range(n, 0, -1)])  # ground, site n, ..., site 1
     site = [0] + list(range(n, 0, -1))  # the excited site of each support state, 0 for ground
     h = np.diag([fmo.epsilon.sum() - 2 * (fmo.epsilon[j - 1] if j else 0) for j in site])
     for j, l in fmo.coupled_pairs():
         a, b = site.index(j), site.index(l)
         h[a, b] = h[b, a] = 4 * fmo.nu[j - 1, l - 1]
-    assert np.abs(LindbladGenerator(fmo, noise, support).h - h).max() <= 1e-14
+    assert np.abs(dynamics._hamiltonian(fmo, support, n) - h).max() <= 1e-14
     step = np.eye(n + 1, dtype=complex)
     for kind, sites, c in fmo_terms(fmo):
         factor = np.eye(n + 1, dtype=complex)
