@@ -187,6 +187,26 @@ def test_rhs_dimension_mismatch():
         full_generator(chain_fmo(3), NoiseParameters.uniform(4, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "shape, noise_sites, match",
+    [
+        ((4, 4), 3, "state dimension"),  # a 2-site state on a 3-site chain
+        ((16, 16), 3, "state dimension"),
+        ((8,), 3, "state dimension"),  # a state vector, not a density matrix
+        ((8, 4), 3, "state dimension"),
+        ((2, 8, 8), 3, "state dimension"),  # a stack of states
+        ((), 3, "state dimension"),
+        ((8, 8), 2, "disagree on size"),
+        ((8, 8), 4, "disagree on size"),
+    ],
+)
+def test_setup_refuses_a_run_it_cannot_support(shape, noise_sites, match):
+    # Setup is the one gate before a generator or a step is built: neither checks again.
+    rho0 = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match=match):
+        Setup(rho0, chain_fmo(3), NoiseParameters.uniform(noise_sites, 0.1, 0.1))
+
+
 # --- exact integrator -------------------------------------------------------------
 
 
