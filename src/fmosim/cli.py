@@ -22,10 +22,11 @@ Each command loads only the modules it runs.  ``load_config`` needs
 ``schema``; ``evolve`` adds ``dynamics``, ``compile`` and ``verify`` add
 ``compiler`` and ``circuit``, and ``channel`` adds ``channels`` and ``circuit``
 (``evolve --lowering compiled-pulses`` loads the compiler from ``dynamics``).
-``logging`` is loaded only where a message is logged.  The names a command
-takes from the module it alone loads are listed in one table, ``_LAZY_NAMES``,
-and bound into this module on first use, by ``_bind`` or an attribute lookup;
-they are patchable once bound, and a patched name is kept.
+``logging`` is loaded only to log a warning; an INFO line is logged only if
+``logging`` is loaded already.  The names a command takes from the module it
+alone loads are listed in one table, ``_LAZY_NAMES``, and bound into this module
+on first use, by ``_bind`` or an attribute lookup; they are patchable once
+bound, and a patched name is kept.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 verification
 failure.  All commands are deterministic given their inputs.
@@ -40,12 +41,11 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
 
-from .hamiltonians import FmoParameters, NmrParameters, NoiseParameters, nmr_from_fmo
+from .hamiltonians import FmoParameters, NmrParameters, NoiseParameters, _Record, nmr_from_fmo
 from .qcore import RegisterTooLarge, trace_distance
 from .schema import ConfigError, _json, _json_object
 
@@ -79,18 +79,14 @@ VERIFY_FAILURE = 3
 USAGE_ERROR = 2
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    """Validated run configuration binding model, noise and run controls."""
+class RunConfig(_Record):
+    """Validated run configuration binding model, noise and run controls (read-only)."""
 
-    fmo: FmoParameters
-    noise: NoiseParameters
-    nmr: NmrParameters
-    t_max: float
-    dt: float
-    method: str
-    initial_state: str
-    output: dict
+    __slots__ = ("fmo", "noise", "nmr", "t_max", "dt", "method", "initial_state", "output")
+
+    def __init__(self, fmo: FmoParameters, noise: NoiseParameters, nmr: NmrParameters,
+                 t_max: float, dt: float, method: str, initial_state: str, output: dict):
+        self._set(fmo, noise, nmr, t_max, dt, method, initial_state, output)
 
 
 def _vector(doc, where: str, shape=(None,), what="a flat list of finite numbers") -> np.ndarray:

@@ -58,6 +58,7 @@ population lost to the environment (there is no explicit sink site).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TextIO
@@ -517,10 +518,9 @@ def evolve_trotter_open(
     decay, refill = setup.dissipator
     scale = np.exp(h * decay)
     moves = [(lo, hi, 1.0 - math.exp(-weight * h)) for weight, lo, hi in refill]
-    if np.any(setup.noise.dephasing > 0):
-        import logging  # loaded by a run with dephasing only
-
-        logging.getLogger(__name__).info(
+    # Only a program that imported logging can have a handler or level that shows INFO.
+    if "logging" in sys.modules and np.any(setup.noise.dephasing > 0):
+        sys.modules["logging"].getLogger(__name__).info(
             "dephasing uses the corrected CPTP phase-flip channel; "
             "the verbatim published pair is non-trace-preserving and is "
             "available only behind an explicit override"

@@ -30,7 +30,6 @@ step and the compiler's targets (``term_exp``) share instead of an ``eigh`` per 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -76,16 +75,34 @@ def term_exp(kind: str, c: float) -> np.ndarray:
     return (v * np.exp(-1j * c * w)) @ v.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class FmoParameters:
-    """Site energies and a symmetric hopping matrix with zero diagonal."""
+class _Record:
+    """Read-only slots and identity equality, without a frozen dataclass's generated code."""
 
-    epsilon: np.ndarray
-    nu: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        eps = np.array(self.epsilon, dtype=float)
-        nu = np.array(self.nu, dtype=float)
+    def _set(self, *values) -> None:
+        """Set each slot once, in order; an array is made read-only first."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FmoParameters(_Record):
+    """Site energies and a symmetric hopping matrix with zero diagonal (read-only arrays)."""
+
+    __slots__ = ("epsilon", "nu")
+
+    def __init__(self, epsilon: np.ndarray, nu: np.ndarray):
+        eps = np.array(epsilon, dtype=float)
+        nu = np.array(nu, dtype=float)
         if eps.ndim != 1 or eps.shape[0] < 1:
             raise ValueError("epsilon must be a non-empty 1-d array")
         n = eps.shape[0]
@@ -97,10 +114,7 @@ class FmoParameters:
             raise ValueError("nu must be symmetric")
         if np.max(np.abs(np.diag(nu))) > 0:
             raise ValueError("nu must have zero diagonal")
-        eps.setflags(write=False)
-        nu.setflags(write=False)
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "nu", nu)
+        self._set(eps, nu)
 
     @property
     def n_sites(self) -> int:
@@ -117,52 +131,42 @@ class FmoParameters:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class NmrParameters:
-    """Chemical shifts omega_l and nearest-neighbour couplings J_l."""
+class NmrParameters(_Record):
+    """Chemical shifts omega_l and nearest-neighbour couplings J_l (read-only arrays)."""
 
-    omega: np.ndarray
-    j: np.ndarray
+    __slots__ = ("omega", "j")
 
-    def __post_init__(self):
-        omega = np.array(self.omega, dtype=float)
-        j = np.array(self.j, dtype=float)
+    def __init__(self, omega: np.ndarray, j: np.ndarray):
+        omega = np.array(omega, dtype=float)
+        j = np.array(j, dtype=float)
         if omega.ndim != 1 or omega.shape[0] < 1:
             raise ValueError("omega must be a non-empty 1-d array")
         if j.shape != (omega.shape[0] - 1,):
             raise ValueError("j must have one entry per nearest-neighbour bond")
         if not (np.isfinite(omega).all() and np.isfinite(j).all()):
             raise ValueError("omega and j must be finite")
-        omega.setflags(write=False)
-        j.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "j", j)
+        self._set(omega, j)
 
     @property
     def n_qubits(self) -> int:
         return self.omega.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseParameters:
-    """Per-site dissipation and dephasing rates (all nonnegative)."""
+class NoiseParameters(_Record):
+    """Per-site dissipation and dephasing rates: nonnegative, read-only arrays."""
 
-    dissipation: np.ndarray
-    dephasing: np.ndarray
+    __slots__ = ("dissipation", "dephasing")
 
-    def __post_init__(self):
-        diss = np.array(self.dissipation, dtype=float)
-        deph = np.array(self.dephasing, dtype=float)
+    def __init__(self, dissipation: np.ndarray, dephasing: np.ndarray):
+        diss = np.array(dissipation, dtype=float)
+        deph = np.array(dephasing, dtype=float)
         if diss.ndim != 1 or deph.shape != diss.shape:
             raise ValueError("dissipation and dephasing must be equal-length vectors")
         if np.any(diss < 0) or np.any(deph < 0):
             raise ValueError("noise rates must be nonnegative")
         if not (np.all(np.isfinite(diss)) and np.all(np.isfinite(deph))):
             raise ValueError("noise rates must be finite")
-        diss.setflags(write=False)
-        deph.setflags(write=False)
-        object.__setattr__(self, "dissipation", diss)
-        object.__setattr__(self, "dephasing", deph)
+        self._set(diss, deph)
 
     @property
     def n_sites(self) -> int:

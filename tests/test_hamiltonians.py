@@ -1,12 +1,18 @@
-"""Tests for the Hamiltonian builders and the first-order Trotter splitting."""
+"""Tests for the Hamiltonian builders, the parameter records and the first-order
+Trotter splitting."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
+from fmosim.cli import RunConfig
 from fmosim.hamiltonians import (
     TERMS,
     FmoParameters,
     NmrParameters,
+    NoiseParameters,
     build_fmo_h,
     nmr_diagonal,
     nmr_from_fmo,
@@ -65,6 +71,58 @@ class TestParameters:
         p = chain_fmo(3)
         with pytest.raises(ValueError):
             p.epsilon[0] = 2.0
+
+
+FIELDS = {
+    FmoParameters: ("epsilon", "nu"),
+    NmrParameters: ("omega", "j"),
+    NoiseParameters: ("dissipation", "dephasing"),
+    RunConfig: ("fmo", "noise", "nmr", "t_max", "dt", "method", "initial_state", "output"),
+}
+
+
+def assert_same_fields(got, want):
+    """``got`` holds ``want``'s field values, records field by field and arrays read-only."""
+    if type(want) in FIELDS:
+        assert type(got) is type(want)
+        for name in FIELDS[type(want)]:
+            assert_same_fields(getattr(got, name), getattr(want, name))
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want) and not got.flags.writeable and not want.flags.writeable
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_records_are_read_only_and_equal_only_to_themselves(cls):
+    fmo = chain_fmo(3)
+    values = {
+        FmoParameters: ([1.0, 1.1, 0.9], fmo.nu.tolist()),
+        NmrParameters: ([2.0, 2.2, 1.8], [0.2, 0.3]),
+        NoiseParameters: ([0.1, 0.2, 0.3], [0.05, 0.0, 0.5]),
+        RunConfig: (fmo, NoiseParameters.uniform(3, 0.1, 0.2), nmr_from_fmo(fmo), 1.0, 0.01,
+                    "both", "site1", {"trajectory": "out.csv"}),
+    }[cls]
+    a, b = cls(*values), cls(**dict(zip(FIELDS[cls], values)))
+    assert_same_fields(b, a)
+    for name, value in zip(FIELDS[cls], values):
+        kept = getattr(a, name)
+        if cls is RunConfig:
+            assert kept is value
+        else:
+            np.testing.assert_array_equal(kept, np.array(value, dtype=float))
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is kept
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
+    for copy_of in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        c = copy_of(a)
+        assert c is not a and c != a
+        assert_same_fields(c, a)
 
 
 class TestFmoH0:

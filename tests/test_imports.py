@@ -2,12 +2,13 @@
 
 ``evolve`` with the ``dense-blocks`` step and ``load_config`` must not load the
 compiler, the circuit IR or the channel layer.  ``load_config``, ``compile``,
-``verify`` and ``channel`` must not load the dynamics layer or ``logging``, and
-``evolve --method exact`` must not load ``logging``: the one module-level
-logger call of each route imports it where it logs.  The commands that do use
-these modules still run, and the benchmark's span tracer still sees every span
-through the names ``cli`` binds on first use.  Every name a module lists in
-``__all__`` resolves.
+``verify`` and ``channel`` must not load the dynamics layer, and ``load_config``
+no ``dataclasses``: its records are plain classes.  No ``evolve`` route loads
+``logging``: the digital route logs its INFO line on dephasing only if the
+program loaded ``logging`` itself, and a program that configures logging sees
+that line once.  The commands that do use these modules still run, and the
+benchmark's span tracer still sees every span through the names ``cli`` binds
+on first use.  Every name a module lists in ``__all__`` resolves.
 """
 
 import importlib
@@ -27,30 +28,31 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "example.json")
 SRC = str(Path(fmosim.__file__).resolve().parents[1])
 HEAVY = {"fmosim.compiler", "fmosim.circuit", "fmosim.channels"}
-EVOLVE_ONLY = {"fmosim.dynamics", "logging"}
+NOT_LOADED = {"fmosim.dynamics", "logging"}  # by load_config, compile, verify and channel
 
 RUN = """
 import json, sys
 from fmosim.cli import load_config, main
 argv = json.loads(sys.argv[1])
 rc = main(argv) if argv else load_config(sys.argv[2]) and 0
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("fmosim") or m == "logging")]))
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.startswith("fmosim") or m in ("logging", "dataclasses"))]))
 """
 
 
-def fresh(code: str, *args: str) -> str:
-    """stdout of ``code`` run in a new interpreter (warnings as errors) on this source tree."""
+def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run to exit 0 in a new interpreter (warnings as errors) on this source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 def run_fresh(argv: list[str]) -> tuple[int, set[str]]:
     """Exit code of ``main(argv)`` (``load_config`` for no argv) and the modules loaded of
-    fmosim's and ``logging``."""
-    rc, loaded = json.loads(fresh(RUN, json.dumps(argv), CONFIG).splitlines()[-1])
+    fmosim's, ``logging`` and ``dataclasses``."""
+    rc, loaded = json.loads(fresh(RUN, json.dumps(argv), CONFIG).stdout.splitlines()[-1])
     return rc, set(loaded)
 
 
@@ -71,13 +73,14 @@ def test_every_name_a_module_exports_resolves_once():
 
 def test_config_loading_and_dense_evolve_load_no_compiler_circuit_or_channels(tmp_path):
     rc, loaded = run_fresh([])
-    assert rc == 0 and not loaded & (HEAVY | EVOLVE_ONLY), loaded
-    argv = ["evolve", "--config", CONFIG, "--lowering", "dense-blocks", "--record-every", "25",
-            "--out", str(tmp_path / "traj.csv")]
-    rc, loaded = run_fresh(argv)
-    assert rc == 0 and not loaded & HEAVY, loaded
-    assert loaded >= EVOLVE_ONLY, loaded  # the example's dephasing is logged, so logging shows
-    assert (tmp_path / "traj.csv").stat().st_size > 0
+    assert rc == 0 and not loaded & (HEAVY | NOT_LOADED | {"dataclasses"}), loaded
+    for method in ("trotter", "both"):  # the example has dephasing, which the digital route logs
+        argv = ["evolve", "--config", CONFIG, "--lowering", "dense-blocks", "--method", method,
+                "--record-every", "25", "--out", str(tmp_path / f"{method}.csv")]
+        rc, loaded = run_fresh(argv)
+        assert rc == 0 and "fmosim.dynamics" in loaded, (method, loaded)
+        assert not loaded & (HEAVY | {"logging"}), (method, loaded)
+        assert (tmp_path / f"{method}.csv").stat().st_size > 0
 
 
 def test_exact_evolve_loads_no_logging(tmp_path):
@@ -87,6 +90,30 @@ def test_exact_evolve_loads_no_logging(tmp_path):
     assert rc == 0 and "fmosim.dynamics" in loaded, loaded
     assert not loaded & (HEAVY | {"logging"}), loaded
     assert (tmp_path / "traj.csv").stat().st_size > 0
+
+
+LOGGED = """
+import logging, sys
+from fmosim.cli import main
+logging.basicConfig(level=logging.INFO)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("method, dephasing, shown", [("trotter", None, 1), ("both", None, 1),
+                                                      ("trotter", 0.0, 0)])
+def test_a_program_that_configures_logging_sees_the_dephasing_line_once(
+        method, dephasing, shown, tmp_path):
+    config = CONFIG
+    if dephasing is not None:
+        doc = json.loads(Path(CONFIG).read_text())
+        doc["noise"]["dephasing"] = [dephasing] * len(doc["noise"]["dephasing"])
+        config = str(tmp_path / "config.json")
+        Path(config).write_text(json.dumps(doc))
+    proc = fresh(LOGGED, "evolve", "--config", config, "--method", method, "--record-every", "25",
+                 "--out", str(tmp_path / "traj.csv"))
+    line = "INFO:fmosim.dynamics:dephasing uses the corrected CPTP phase-flip channel; "
+    assert [ln[:len(line)] for ln in proc.stderr.splitlines()] == [line] * shown, proc.stderr
 
 
 def test_noise_parameters_are_one_class_in_hamiltonians():
@@ -117,7 +144,7 @@ def test_commands_that_load_the_compiler_or_channels_run_in_a_fresh_process(comm
     unused = "fmosim.compiler" if command == "channel" else "fmosim.channels"
     assert loaded & HEAVY == HEAVY - {unused}, loaded
     if not command.startswith("evolve"):
-        assert not loaded & EVOLVE_ONLY, loaded
+        assert not loaded & NOT_LOADED, loaded
 
 
 TRACED = """
@@ -146,7 +173,7 @@ print(json.dumps({"rcs": rcs, "restored": restored, "calls": calls}))
 
 def test_tracer_sees_every_compiler_span_through_lazily_bound_cli_names(tmp_path):
     tracing = str(ROOT / "benchmarks" / "tracing.py")
-    stdout = fresh(TRACED, tracing, str(tmp_path / "schedule.json"), CONFIG)
+    stdout = fresh(TRACED, tracing, str(tmp_path / "schedule.json"), CONFIG).stdout
     out = json.loads(stdout.splitlines()[-1])
     assert out["rcs"] == [0, 0, 0] and out["restored"]
     for name in ("compiler.verify_schedule.opaque", "compiler.verify_schedule.gates",
