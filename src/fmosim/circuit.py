@@ -22,13 +22,16 @@ followed by row-major complex matrix rows.  A KRAUS header carries
 the operators is a parse error), ``angles=<alpha>,<beta>`` when the channel
 has them, and ends with ``provenance=<text>``.  Angles and matrix entries
 are printed with 17 significant digits so that exporting a parsed program
-gives back the same bytes.
+gives back the same bytes.  ``parse_text`` walks the numbered non-blank lines
+with one iterator, from which a header takes its matrix rows; a refusal after
+the ``QUBITS`` header names its line, or for a matrix row its header's line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -400,42 +403,40 @@ def export_text(program: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_matrix_rows(rows: list[str], dim: int, where: str) -> np.ndarray:
-    if len(rows) != dim:
-        raise ValueError(f"{where}: expected {dim} matrix rows")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        entries = row.split()
-        if len(entries) != dim:
-            raise ValueError(f"{where}: row {i + 1} has {len(entries)} entries, want {dim}")
-        out[i] = [complex(e) for e in entries]
-    return out
-
-
 def parse_text(text: str) -> Program:
-    raw = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
+    """The program of circuit text in the format above, as ``export_text`` writes it."""
+    stripped = (ln.split("#", 1)[0].rstrip() for ln in text.splitlines())
+    lines = ((i, ln) for i, ln in enumerate(stripped, 1) if ln.strip())  # numbered, non-blank
+
+    def matrix(dim: int, what: str) -> np.ndarray:
+        """The next ``dim`` lines as a dim x dim complex matrix."""
+        rows = [ln.split() for _, ln in islice(lines, dim)]
+        if len(rows) != dim:
+            raise ValueError(f"{what}: expected {dim} matrix rows")
+        out = np.empty((dim, dim), dtype=complex)
+        for i, entries in enumerate(rows):
+            if len(entries) != dim:
+                raise ValueError(f"{what}: row {i + 1} has {len(entries)} entries, want {dim}")
+            out[i] = [complex(e) for e in entries]
+        return out
+
+    lineno, ln = next(lines, (0, ""))
+    if not ln:
         raise ValueError("empty circuit text")
-    head = lines[0][1].split()
+    head = ln.split()
     if head[0] != "QUBITS" or len(head) != 2:
         raise ValueError("first line must be a QUBITS header")
-    n = int(head[1])
     instructions: list[Instruction] = []
-    i = 1
-    while i < len(lines):
-        lineno, ln = lines[i]
-        tokens = ln.split()
-        name = tokens[0]
-        try:
+    try:
+        n = int(head[1])
+        for lineno, ln in lines:
+            tokens = ln.split()
+            name = tokens[0]
             if name == "UNITARY":
                 if tokens[-1] != ":":
                     raise ValueError("UNITARY header must end with ':'")
                 qubits = tuple(int(t) for t in tokens[1:-1])
-                dim = 2 ** len(qubits)
-                rows = [lines[i + 1 + r][1] for r in range(dim)]
-                instructions.append(unitary_gate(_parse_matrix_rows(rows, dim, "UNITARY"), qubits))
-                i += 1 + dim
+                instructions.append(unitary_gate(matrix(2 ** len(qubits), "UNITARY"), qubits))
             elif name == "KRAUS":
                 if tokens[-1] != ":":
                     raise ValueError("KRAUS header must end with ':'")
@@ -446,10 +447,7 @@ def parse_text(text: str) -> Program:
                 angles = opts.pop("angles", None)
                 if opts:
                     raise ValueError(f"unknown KRAUS options {sorted(opts)}")
-                ops = []
-                for j in range(n_ops):
-                    rows = [lines[i + 1 + 2 * j + r][1] for r in range(2)]
-                    ops.append(_parse_matrix_rows(rows, 2, "KRAUS"))
+                ops = [matrix(2, "KRAUS") for _ in range(n_ops)]
                 if angles is not None:
                     alpha, beta = map(float, angles.split(","))
                     angles = (alpha, beta)
@@ -460,10 +458,8 @@ def parse_text(text: str) -> Program:
                         f"({ch.cptp}, completeness deficit {ch.deficit:.3g})"
                     )
                 instructions.append(KrausApply(int(tokens[1]), ch))
-                i += 1 + 2 * n_ops
             elif name == "MEASURE_DISCARD":
                 instructions.append(MeasureAndDiscard(int(tokens[1])))
-                i += 1
             else:
                 angle = None
                 if "(" in name:
@@ -475,7 +471,6 @@ def parse_text(text: str) -> Program:
                 if name not in _GATES:
                     raise ValueError(f"unknown gate {name!r}")
                 instructions.append(Gate(name, qubits, angle))
-                i += 1
-        except (ValueError, IndexError, KeyError) as exc:
-            raise ValueError(f"parse error at line {lineno}: {exc}") from exc
+    except (ValueError, IndexError, KeyError) as exc:
+        raise ValueError(f"parse error at line {lineno}: {exc}") from exc
     return Program(n, tuple(instructions))

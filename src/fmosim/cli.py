@@ -13,9 +13,10 @@ Subcommands:
 * ``channel``: print the report (and circuit, when realizable) of a noise
   channel.
 
-``parse_config`` checks a run configuration with ``schema``'s field checker,
-which the schedule reader shares, so a schema error of either document is a
-``schema.ConfigError`` (also importable as ``compiler.ConfigError``).
+``parse_config`` checks a run configuration with ``schema``'s field checker and
+builds its records with ``schema._build``, as the schedule reader does, so a
+refusal of either document names its field and is a ``schema.ConfigError`` (also
+importable as ``compiler.ConfigError``).
 
 Each command loads only the modules it runs.  ``load_config`` needs
 ``hamiltonians`` (which holds the three parameter records), ``qcore`` and
@@ -47,7 +48,7 @@ import numpy as np
 
 from .hamiltonians import FmoParameters, NmrParameters, NoiseParameters, _Record, nmr_from_fmo
 from .qcore import RegisterTooLarge, trace_distance
-from .schema import ConfigError, _json, _json_object
+from .schema import ConfigError, _build, _json, _json_object
 
 # The names each command binds from the one module it alone loads.
 _LAZY_NAMES = {
@@ -106,6 +107,12 @@ def _vector(doc, where: str, shape=(None,), what="a flat list of finite numbers"
         raise ConfigError(f"{where} must be {what}") from None
 
 
+def _section(record, doc, where: str, *keys: str):
+    """``record`` of the flat vectors ``keys`` of ``doc``, an object of exactly those keys."""
+    _json_object(doc, where, set(keys))
+    return _build(record, where, *(_vector(doc[key], f"{where}.{key}") for key in keys))
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document (rejecting unknown keys)."""
     required = {"schema_version", "fmo", "noise", "evolution"}
@@ -131,33 +138,14 @@ def parse_config(doc: dict) -> RunConfig:
         nu = np.zeros((n, n))
         for l, v in enumerate(bonds):
             nu[l, l + 1] = nu[l + 1, l] = v
-    try:
-        fmo = FmoParameters(epsilon=epsilon, nu=nu)
-    except ValueError as exc:
-        raise ConfigError(f"config.fmo: {exc}") from None
+    fmo = _build(FmoParameters, "config.fmo", epsilon, nu)
 
-    ndoc = doc["noise"]
-    _json_object(ndoc, "config.noise", {"dissipation", "dephasing"})
-    try:
-        noise = NoiseParameters(
-            _vector(ndoc["dissipation"], "config.noise.dissipation"),
-            _vector(ndoc["dephasing"], "config.noise.dephasing"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.noise: {exc}") from None
+    noise = _section(NoiseParameters, doc["noise"], "config.noise", "dissipation", "dephasing")
     if noise.n_sites != n:
         raise ConfigError("config.noise rate vectors must match the site count")
 
     if "nmr" in doc:
-        mdoc = doc["nmr"]
-        _json_object(mdoc, "config.nmr", {"omega", "j"})
-        try:
-            nmr = NmrParameters(
-                omega=_vector(mdoc["omega"], "config.nmr.omega"),
-                j=_vector(mdoc["j"], "config.nmr.j"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config.nmr: {exc}") from None
+        nmr = _section(NmrParameters, doc["nmr"], "config.nmr", "omega", "j")
         if nmr.n_qubits != n:
             raise ConfigError("config.nmr.omega must match the site count")
     else:

@@ -43,8 +43,9 @@ segment by segment, each flat schedule as its phase vector; the
 ``compiled-pulses`` step and ``verify_schedule`` both apply it.  The target
 unitary is ``hamiltonians.term_exp``, from a cached eigendecomposition.
 
-``schedule_from_json`` checks its document with ``schema``'s field checker, so
-a schema error names the field's path and is a ``ConfigError``.
+``schedule_from_json`` checks its document with ``schema``'s field checker and
+builds every gate and schedule with ``schema._build``, so a schema error, and a
+record's own refusal, names the field's path and is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from . import circuit as ci
 from .hamiltonians import TERMS, NmrParameters, nmr_diagonal, term_exp
 from .qcore import SCHEDULE_VERIFY_ATOL, check_unitary_register, phase_align
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
-from .schema import ConfigError, _json, _json_ints, _json_list, _json_object, _site_number
+from .schema import ConfigError, _build, _json, _json_ints, _json_list, _json_object, _site_number
 
 __all__ = [
     "hadamard_matrix",
@@ -579,7 +580,7 @@ def _gate_from_dict(d, where: str) -> ci.Gate:
     _json_object(d, where, {"kind", "qubits"}, {"angle"})
     kind = _json(d["kind"], "a string", f"{where}.kind")
     angle = float(_json(d["angle"], "a finite number", f"{where}.angle")) if "angle" in d else None
-    return ci.Gate(kind, _json_ints(d["qubits"], f"{where}.qubits"), angle)
+    return _build(ci.Gate, where, kind, _json_ints(d["qubits"], f"{where}.qubits"), angle)
 
 
 def _gates_from_list(values, where: str) -> tuple[ci.Gate, ...]:
@@ -609,7 +610,8 @@ def _flat_from_dict(d, where: str) -> PulseSchedule:
     layers = _json_list(d["pulse_layers"], f"{where}.pulse_layers")
     duration = float(_json(d["interval_duration"], "a finite number", f"{where}.interval_duration"))
     _check_duration(duration, where)
-    s = PulseSchedule(
+    s = _build(
+        PulseSchedule, where,
         _json(d["n_qubits"], "an integer", f"{where}.n_qubits"),
         duration,
         tuple(_json_ints(layer, at) for layer, at in layers),
@@ -634,7 +636,8 @@ def schedule_to_json(sched: PulseSchedule | ConjugatedSchedule) -> str:
 
 
 def schedule_from_json(text: str) -> PulseSchedule | ConjugatedSchedule:
-    """Parse a schedule document, naming the path of any missing, unknown or mistyped field."""
+    """Parse a schedule document, naming the path of any missing, unknown or mistyped
+    field, and of a gate or schedule whose record refuses it."""
     doc = _json(json.loads(text), "an object", "schedule")
     if "segments" not in doc:
         return _flat_from_dict(doc, "schedule")
@@ -647,4 +650,4 @@ def schedule_from_json(text: str) -> PulseSchedule | ConjugatedSchedule:
         segments.append(Segment(pre, flat, _gates_from_list(seg["post"], f"{at}.post")))
     n = _json(doc["n_qubits"], "an integer", "schedule.n_qubits")
     target = _json(doc["target"], "a string", "schedule.target")
-    return ConjugatedSchedule(n, target, tuple(segments))
+    return _build(ConjugatedSchedule, "schedule", n, target, tuple(segments))

@@ -1,6 +1,7 @@
-"""Field checker of every input document, run configurations (``cli.parse_config``)
-and schedules (``compiler.schedule_from_json``): a schema error names the field's
-path and is a ``ConfigError``.  It needs no other fmosim module.
+"""Field checker and record builder of every input document, run configurations
+(``cli.parse_config``) and schedules (``compiler.schedule_from_json``): a schema
+error or a record's refusal names the field's path and is a ``ConfigError``.  It
+needs no other fmosim module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ _JSON_TYPES = {
 
 class ConfigError(ValueError):
     """An input document, a run configuration or a schedule, violates its schema."""
+
+
+def _build(record, where: str, *args):
+    """``record(*args)``; its ``ValueError`` becomes a ``ConfigError`` prefixed with the
+    record's path ``where``, and a ``ConfigError``, which names its field, passes unchanged."""
+    try:
+        return record(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _json(value, kind: str, where: str):

@@ -583,6 +583,50 @@ def test_parse_errors_are_informative():
         ci.parse_text("QUBITS 2\nRZ(nope) 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty circuit text"),
+        ("# only a comment\n\n", "empty circuit text"),
+        ("X 1\n", "first line must be a QUBITS header"),
+        ("QUBITS 1 2\n", "first line must be a QUBITS header"),
+        ("QUBITS 1\nUNITARY 1\n1 0\n0 1\n", "parse error at line 2: UNITARY header must end with ':'"),
+        ("QUBITS 1\nKRAUS 1 ops=1 provenance=p\n1 0\n0 1\n",
+         "parse error at line 2: KRAUS header must end with ':'"),
+        ("QUBITS 1\nKRAUS 1 ops=1 color=red provenance=p :\n1 0\n0 1\n",
+         "parse error at line 2: unknown KRAUS options ['color']"),
+        ("QUBITS 1\nUNITARY 1 :\n1 0\n0\n", "parse error at line 2: UNITARY: row 2 has 1 entries, want 2"),
+        ("QUBITS 1\nX 1\nKRAUS 1 ops=1 provenance=p :\n1 0 0\n0 1\n",
+         "parse error at line 3: KRAUS: row 1 has 3 entries, want 2"),
+        ("QUBITS 1\nRZ(0.5 1\n", "parse error at line 2: malformed angle"),
+        ("QUBITS 2\n\nWIBBLE 1\n", "parse error at line 3: unknown gate 'WIBBLE'"),
+    ],
+)
+def test_parse_refusals_keep_their_message(text, message):
+    with pytest.raises(ValueError) as info:
+        ci.parse_text(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("QUBITS 1\nUNITARY 1 :\n1 0\n", "parse error at line 2: UNITARY: expected 2 matrix rows"),
+        ("QUBITS 2\nUNITARY 1 2 :\n1 0 0 0\n\n0 1 0 0  # row 2\n",
+         "parse error at line 2: UNITARY: expected 4 matrix rows"),
+        ("QUBITS 1\nKRAUS 1 ops=2 provenance=p :\n1 0\n0 1\n0 0\n",
+         "parse error at line 2: KRAUS: expected 2 matrix rows"),
+        ("QUBITS two\n", "parse error at line 1: invalid literal for int() with base 10: 'two'"),
+        ("# fmosim circuit\nQUBITS 1.5\nX 1\n",
+         "parse error at line 2: invalid literal for int() with base 10: '1.5'"),
+    ],
+)
+def test_text_ending_in_a_matrix_or_a_bad_qubit_count_names_the_line(text, message):
+    with pytest.raises(ValueError) as info:
+        ci.parse_text(text)
+    assert str(info.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\nQUBITS 1\n\nX 1  # flip\n"
     assert ci.export_text(ci.parse_text(text)) == ci.export_text(ci.Program(1, (ci.x(1),)))

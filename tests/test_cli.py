@@ -6,9 +6,11 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -409,6 +411,23 @@ def test_outputs_get_the_mode_open_gives_and_write_through_symlinks(tmp_path, ca
     assert link.is_symlink() and (tmp_path / "target.json").read_text() == kept.read_text()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_evolve_writes_a_fifo_in_place(tmp_path):
+    """A FIFO is not a regular file, so the trajectory is written into it, not beside it."""
+    cfgp = write_config(tmp_path, BASE)
+    fifo = tmp_path / "traj.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = main(["evolve", "--config", cfgp, "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert code == 0 and not reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert main(["evolve", "--config", cfgp, "--out", str(tmp_path / "t.csv")]) == 0
+    assert got == [(tmp_path / "t.csv").read_text()]
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "t.csv", "traj.fifo"]
+
+
 def test_evolve_bad_initial_state(tmp_path, capsys):
     cfgp = write_config(tmp_path, deep(BASE, (("evolution", "initial_state"), "site9")))
     assert main(["evolve", "--config", cfgp]) == 2
@@ -777,6 +796,39 @@ def test_schedule_fields_are_type_checked(tmp_path, name, path, value):
     assert field in line[len(prefix):], line
 
 
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("xy", ("segments", 0, "pre", 0, "kind"), "FOO",
+         "schedule.segments[0].pre[0]: unknown gate kind 'FOO'"),
+        ("xy", ("segments", 0, "pre", 0, "qubits"), [2, 3],
+         "schedule.segments[0].pre[0]: H expects 1 qubit(s)"),
+        ("xy", ("segments", 1, "pre", 0, "angle"), DELETE,
+         "schedule.segments[1].pre[0]: bad angle for RX"),
+        ("xy", ("segments", 0, "post", 1), {"kind": "CZ", "qubits": [3, 3]},
+         "schedule.segments[0].post[1]: repeated qubit in gate"),
+        ("xy", ("segments", 0, "pre", 1, "kind"), "UNITARY",
+         "schedule.segments[0].pre[1]: UNITARY matrix shape does not match qubit count"),
+        ("z", ("pulse_layers", 0), [4],
+         "schedule: pulse frame does not return to the identity"),
+        ("z", ("pulse_layers", 4), [8, 8], "schedule: pulsed qubit outside register 1..7"),
+        ("z", ("pulse_layers",), [[]], "schedule: need at least one interval (two layer slots)"),
+        ("xy", ("segments", 1, "schedule", "pulse_layers", 0), [2, 3, 5],
+         "schedule.segments[1].schedule: pulse frame does not return to the identity"),
+        ("xy", ("segments", 0, "schedule", "pulse_layers", 4), [9, 9],
+         "schedule.segments[0].schedule: pulsed qubit outside register 1..7"),
+        ("xy", ("segments",), [], "schedule: a conjugated schedule needs at least one segment"),
+        ("xy", ("n_qubits",), 8, "schedule: segment width does not match the schedule's n_qubits"),
+    ],
+)
+def test_schedule_record_refusals_name_their_field(tmp_path, name, path, value, message):
+    """A field the record's constructor refuses is named by its path, as the checker names it."""
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(set_path(example_schedules()[name], path, value)))
+    code, out, err = run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG])
+    assert (code, out, err) == (2, "", f"error: cannot parse schedule {sched}: {message}\n")
+
+
 def test_schedule_register_size_allocates_nothing_before_the_cap(tmp_path):
     sched = tmp_path / "sched.json"
     sched.write_text(json.dumps(set_path(example_schedules()["z"], ("n_qubits",), 10**7)))
@@ -805,12 +857,59 @@ def test_schedule_register_size_allocates_nothing_before_the_cap(tmp_path):
         (("schema_version",), True, "unsupported schema_version True (this build reads version 1)"),
         (("evolution", "initial_state"), 1000000, "config.evolution.initial_state must be a string"),
         (("output", "trajectory"), 7, "config.output.trajectory must be a string"),
+        (("noise", "dissipation"), "abc", "config.noise.dissipation must be a flat list of finite numbers"),
+        (("noise", "dissipation"), [0.05, float("inf"), 0.05],
+         "config.noise.dissipation must be a flat list of finite numbers"),
+        (("noise", "dephasing"), "abc", "config.noise.dephasing must be a flat list of finite numbers"),
+        (("noise", "dephasing"), [0.05, float("nan"), 0.05],
+         "config.noise.dephasing must be a flat list of finite numbers"),
+        (("nmr", "omega"), "abc", "config.nmr.omega must be a flat list of finite numbers"),
+        (("nmr", "omega"), [1.0, float("-inf"), 1.0], "config.nmr.omega must be a flat list of finite numbers"),
+        (("nmr", "j"), "abc", "config.nmr.j must be a flat list of finite numbers"),
+        (("nmr", "j"), [0.2, float("nan")], "config.nmr.j must be a flat list of finite numbers"),
     ],
 )
 def test_numeric_config_fields_are_type_checked(tmp_path, path, value, message):
     cfgp = write_config(tmp_path, deep(BASE, (path, value)))
     for argv in (["compile", "z:1", "--tau", "1", "--config", cfgp], ["evolve", "--config", cfgp]):
         assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(("fmo", "nu_bonds"), [0.1, 0.1, 0.1])], "config.fmo.nu_bonds must have n-1 entries"),
+        ([(("fmo", "nu"), [[0, 0.1, 0], [0.2, 0, 0.2], [0, 0.2, 0]]), (("fmo", "nu_bonds"), ...)],
+         "config.fmo: nu must be symmetric"),
+        ([(("fmo", "nu"), [[0, 0.1, 0], [0.1, 0, 0.2]]), (("fmo", "nu_bonds"), ...)],
+         "config.fmo.nu must be a finite n-by-n matrix"),
+        ([(("noise", "dissipation"), [0.05] * 2), (("noise", "dephasing"), [0.05] * 2)],
+         "config.noise rate vectors must match the site count"),
+        ([(("nmr", "omega"), [1.0] * 2), (("nmr", "j"), [0.2])],
+         "config.nmr.omega must match the site count"),
+    ],
+)
+def test_config_shape_refusals_keep_their_line(tmp_path, edits, message):
+    cfgp = write_config(tmp_path, deep(BASE, *edits))
+    for argv in (["compile", "z:1", "--tau", "1", "--config", cfgp], ["evolve", "--config", cfgp]):
+        assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+def test_compile_and_verify_refuse_qubits_outside_the_register(tmp_path):
+    assert run_cli(["compile", "z:9", "--tau", "1", "--config", EXAMPLE_CONFIG]) == (
+        2, "", "error: target qubit 9 outside 1..7\n")
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(set_path(example_schedules()["z"], ("target",), "z:9 coeff=0.25")))
+    assert run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG]) == (
+        2, "", "error: qubits [9] outside register 1..7\n")
+    six = deep(json.loads(Path(EXAMPLE_CONFIG).read_text()),
+               (("fmo",), {"epsilon": [1.0] * 6, "nu_bonds": [0.1] * 5}),
+               (("noise",), {"dissipation": [0.05] * 6, "dephasing": [0.05] * 6}),
+               (("nmr",), {"omega": [1.0] * 6, "j": [0.2] * 5}))
+    assert run_cli(["compile", "z:1", "--tau", "1", "--config", write_config(tmp_path, six),
+                    "--out", str(sched)])[0] == 0
+    assert run_cli(["verify", str(sched), "--config", EXAMPLE_CONFIG]) == (
+        2, "", "error: parameter set does not match schedule width\n")
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify"])

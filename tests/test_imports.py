@@ -6,9 +6,10 @@ compiler, the circuit IR or the channel layer.  ``load_config``, ``compile``,
 no ``dataclasses``: its records are plain classes.  No ``evolve`` route loads
 ``logging``: the digital route logs its INFO line on dephasing only if the
 program loaded ``logging`` itself, and a program that configures logging sees
-that line once.  The commands that do use these modules still run, and the
-benchmark's span tracer still sees every span through the names ``cli`` binds
-on first use.  Every name a module lists in ``__all__`` resolves.
+that line once.  A name ``cli`` binds on first use loads only its own module.
+The commands that do use these modules still run, and the benchmark's span
+tracer still sees every span through the names ``cli`` binds on first use.
+Every name a module lists in ``__all__`` resolves.
 """
 
 import importlib
@@ -114,6 +115,30 @@ def test_a_program_that_configures_logging_sees_the_dephasing_line_once(
                  "--out", str(tmp_path / "traj.csv"))
     line = "INFO:fmosim.dynamics:dephasing uses the corrected CPTP phase-flip channel; "
     assert [ln[:len(line)] for ln in proc.stderr.splitlines()] == [line] * shown, proc.stderr
+
+
+LAZY = """
+import json, sys
+from fmosim import cli
+before = sorted(m for m in sys.modules if m.startswith("fmosim"))
+value = cli.integrate_exact
+after = sorted(m for m in sys.modules if m.startswith("fmosim"))
+from fmosim import dynamics
+try:
+    cli.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([before, after, value is dynamics.integrate_exact, missing]))
+"""
+
+
+def test_a_lazy_cli_name_loads_only_its_module_and_an_unknown_name_raises():
+    before, after, same, missing = json.loads(fresh(LAZY).stdout.splitlines()[-1])
+    assert "fmosim.cli" in before and "fmosim.dynamics" not in before, before
+    assert "fmosim.dynamics" in after and "fmosim.compiler" not in after, after
+    assert same
+    assert missing == "module 'fmosim.cli' has no attribute 'no_such_name'"
 
 
 def test_noise_parameters_are_one_class_in_hamiltonians():
