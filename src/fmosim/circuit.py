@@ -16,11 +16,12 @@ caller passes ``allow_noncptp``, and then logs a warning.  Behind that gate
 ``operator_sum`` is the one place the sum K rho K^dag is taken.
 
 The text format is line based: ``GATE(angle) qubits...`` with 1-based qubit
-indices, ``#`` comments, and ``UNITARY q... :`` / ``KRAUS q ... :`` headers
-followed by row-major complex matrix rows.  A KRAUS header carries
-``ops=<count>``, the derived ``cptp=<status>`` (a value that disagrees with
-the operators is a parse error), ``angles=<alpha>,<beta>`` when the channel
-has them, and ends with ``provenance=<text>``.  Angles and matrix entries
+indices, ``MEASURE_DISCARD q``, ``#`` comments, and ``UNITARY q... :`` (1 to
+10 qubits) / ``KRAUS q key=value... :`` headers followed by row-major complex
+matrix rows.  A KRAUS header carries ``ops=<count>``, the derived
+``cptp=<status>`` (a value that disagrees with the operators is a parse
+error), ``angles=<alpha>,<beta>`` when the channel has them, and ends with
+``provenance=<text>``.  Angles and matrix entries
 are printed with 17 significant digits so that exporting a parsed program
 gives back the same bytes.  ``parse_text`` walks the numbered non-blank lines
 with one iterator, from which a header takes its matrix rows; a refusal after
@@ -92,6 +93,8 @@ class Gate:
 
     def __post_init__(self):
         if self.kind == "UNITARY":
+            if not self.qubits:
+                raise ValueError("UNITARY gate needs at least one qubit")
             m = np.asarray(self.matrix, dtype=complex)
             dim = 2 ** len(self.qubits)
             if m.shape not in ((dim,), (dim, dim)):
@@ -436,12 +439,20 @@ def parse_text(text: str) -> Program:
                 if tokens[-1] != ":":
                     raise ValueError("UNITARY header must end with ':'")
                 qubits = tuple(int(t) for t in tokens[1:-1])
+                if not qubits:
+                    raise ValueError("UNITARY header names no qubit")
+                check_unitary_register(len(qubits))
                 instructions.append(unitary_gate(matrix(2 ** len(qubits), "UNITARY"), qubits))
             elif name == "KRAUS":
                 if tokens[-1] != ":":
                     raise ValueError("KRAUS header must end with ':'")
                 head, _, provenance = ln[:-2].partition(" provenance=")
-                opts = dict(t.split("=", 1) for t in head.split()[2:])
+                fields = head.split()[1:]
+                if not fields or "=" in fields[0] or not all("=" in t for t in fields[1:]):
+                    raise ValueError("KRAUS header takes one qubit, then key=value options")
+                opts = dict(t.split("=", 1) for t in fields[1:])
+                if "ops" not in opts:
+                    raise ValueError("KRAUS header needs ops=<count>")
                 n_ops = int(opts.pop("ops"))
                 cptp = opts.pop("cptp", None)
                 angles = opts.pop("angles", None)
@@ -449,16 +460,19 @@ def parse_text(text: str) -> Program:
                     raise ValueError(f"unknown KRAUS options {sorted(opts)}")
                 ops = [matrix(2, "KRAUS") for _ in range(n_ops)]
                 if angles is not None:
-                    alpha, beta = map(float, angles.split(","))
-                    angles = (alpha, beta)
+                    angles = tuple(map(float, angles.split(",")))
+                    if len(angles) != 2:
+                        raise ValueError("KRAUS angles= takes two numbers")
                 ch = KrausChannel(tuple(ops), provenance, angles)
                 if cptp not in (None, ch.cptp):
                     raise ValueError(
                         f"cptp={cptp} disagrees with the operators "
                         f"({ch.cptp}, completeness deficit {ch.deficit:.3g})"
                     )
-                instructions.append(KrausApply(int(tokens[1]), ch))
+                instructions.append(KrausApply(int(fields[0]), ch))
             elif name == "MEASURE_DISCARD":
+                if len(tokens) != 2:
+                    raise ValueError("MEASURE_DISCARD takes one qubit")
                 instructions.append(MeasureAndDiscard(int(tokens[1])))
             else:
                 angle = None

@@ -242,9 +242,9 @@ def cmd_compile(args) -> int:
     report = verify_schedule(sched, cfg.nmr)
     schedule_text = schedule_to_json(sched)
     _write(args.out or cfg.output.get("schedule"), lambda fh: fh.write(schedule_text))
-    circuit_text = ci.export_text(schedule_program(sched, cfg.nmr, args.lowering))
     circuit_path = args.circuit or cfg.output.get("circuit")
     if circuit_path:
+        circuit_text = ci.export_text(schedule_program(sched, cfg.nmr, args.lowering))
         _write(circuit_path, lambda fh: fh.write(circuit_text))
     print(report.summary())
     return 0 if report.passed else VERIFY_FAILURE

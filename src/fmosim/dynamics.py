@@ -155,24 +155,23 @@ def _dissipator(noise: NoiseParameters, support: np.ndarray, n: int):
     refill, one triple per site j with Gamma_j > 0 and w = 8 Gamma_j.  decay
     is -sum_j [(4 Gamma_j + gamma_j) (a_j xor b_j) + 8 Gamma_j a_j b_j].  hi
     and lo are flat indices into an m x m array: hi the entries |a><b| with
-    site j occupied in both a and b, lo the same entries with site j emptied
-    in both (a support of at most K excitations keeps a state with one
-    excitation removed).  Both come from one (n, m) occupation table: site
-    j's term is its row of rates [0, 4 Gamma_j + gamma_j, 8 Gamma_j] looked up
-    by how many of a and b hold site j, which is the product form bit for bit,
-    and decay subtracts the sites' terms in site order.
+    site j occupied in both a and b, a-major, lo the same entries with site j
+    emptied in both (a support of at most K excitations keeps a state with one
+    excitation removed).  One pass over the sites builds both: site j's term is
+    its row of rates [0, 4 Gamma_j + gamma_j, 8 Gamma_j] looked up by how many
+    of a and b hold site j (the product form bit for bit), subtracted in site
+    order, and its refill pairs its occupied states with their emptied states.
     """
     m, occ, big = len(support), _occupations(support, n).astype(np.uint8), noise.dissipation
-    pair = occ[:, :, None] + occ[:, None, :]  # [j, a, b]: how many of a and b hold site j
     rates = np.stack([0.0 * big, 4.0 * big + noise.dephasing, 8.0 * big], 1)
-    decay = np.zeros((m, m))
-    for rate, p in zip(rates, pair):
-        decay -= rate[p]
-    site, p, q = np.nonzero(pair == 2)  # site j's entries a = p, b = q, in site order
     low = np.searchsorted(support, support ^ (1 << np.arange(n - 1, -1, -1))[:, None])
-    lo, hi, cuts = low[site, p] * m + low[site, q], p * m + q, np.cumsum(occ.sum(1) ** 2).tolist()
-    return decay, [(8.0 * g, lo[i:j], hi[i:j])
-                   for g, i, j in zip(noise.dissipation, [0, *cuts], cuts) if g > 0]
+    decay, refill = np.zeros((m, m)), []
+    for rate, occ_j, low_j, g in zip(rates, occ, low, big):
+        decay -= rate[occ_j[:, None] + occ_j]
+        if g > 0:  # lo, hi: each pair of site j's occupied states p, emptied and as is
+            p = np.flatnonzero(occ_j)
+            refill.append((8.0 * g, *((k[:, None] * m + k).ravel() for k in (low_j[p], p))))
+    return decay, refill
 
 
 def _hamiltonian(fmo: FmoParameters, support: np.ndarray, n: int) -> np.ndarray:
@@ -434,18 +433,18 @@ def integrate_exact(
     The step is shrunk to divide t_max exactly; states are recorded every
     ``record_every`` steps (and always at t_max).  A step is one matvec on at
     most ``PROPAGATOR_MAX_STATES`` support states, else four ``rhs`` calls
-    into two work blocks.  ``setup``, if given, is read instead of rho0, fmo and noise.
+    into two stage buffers, allocated by the first.  ``setup``, if given, is
+    read instead of rho0, fmo and noise.
     """
     steps, h = _step_grid(t_max, dt, record_every)
     setup = setup or Setup(rho0, fmo, noise)
     gen = LindbladGenerator(setup)
-    work = np.empty((2, *setup.block.shape), dtype=complex)
 
     def rk4(rho):
         # Classical RK4 in Horner form: for a linear, time-independent
-        # generator L both are sum_{j<=4} (h L)^j / j! applied to rho.  A block
-        # steps through the work blocks and allocates only the block it returns.
-        acc, k = work if rho.ndim == 2 else (None, None)
+        # generator L both are sum_{j<=4} (h L)^j / j! applied to rho.  The first
+        # stage allocates the two stage buffers; the other three reuse them.
+        acc = k = None
         for j in (4, 3, 2):
             k = gen.rhs(rho if j == 4 else acc, out=k)
             acc = np.add(rho, np.multiply(h / j, k, out=k), out=acc)

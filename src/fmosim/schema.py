@@ -23,11 +23,9 @@ class ConfigError(ValueError):
 
 def _build(record, where: str, *args):
     """``record(*args)``; its ``ValueError`` becomes a ``ConfigError`` prefixed with the
-    record's path ``where``, and a ``ConfigError``, which names its field, passes unchanged."""
+    record's path ``where``."""
     try:
         return record(*args)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -388,3 +388,11 @@ def test_kraus_channel_validation():
     assert ch.cptp == "verified" and ch.deficit == 0.0
     with pytest.raises(ValueError):
         apply_kraus(np.eye(4) / 4, kraus_from_angles(0, 0))
+
+
+@pytest.mark.parametrize("n_ops", [1, 3])
+def test_circuit_of_a_channel_without_two_operators_is_refused(n_ops):
+    ch = KrausChannel((np.eye(2) / math.sqrt(n_ops),) * n_ops, f"{n_ops} operators")
+    with pytest.raises(ValueError) as info:
+        channel_circuit(ch)
+    assert str(info.value) == "circuit realization needs a two-operator channel"

@@ -627,6 +627,56 @@ def test_text_ending_in_a_matrix_or_a_bad_qubit_count_names_the_line(text, messa
     assert str(info.value) == message
 
 
+ID_ROWS = "1 0\n0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("QUBITS 2\nMEASURE_DISCARD\n", "MEASURE_DISCARD takes one qubit"),
+        ("QUBITS 2\nMEASURE_DISCARD 1 2\n", "MEASURE_DISCARD takes one qubit"),
+        ("QUBITS 1\nKRAUS 1 provenance=p :\n" + ID_ROWS, "KRAUS header needs ops=<count>"),
+        ("QUBITS 2\nKRAUS 1 2 ops=1 provenance=p :\n" + ID_ROWS,
+         "KRAUS header takes one qubit, then key=value options"),
+        ("QUBITS 1\nKRAUS ops=1 provenance=p :\n" + ID_ROWS,
+         "KRAUS header takes one qubit, then key=value options"),
+        ("QUBITS 1\nKRAUS 1 ops=1 angles=1 provenance=p :\n" + ID_ROWS,
+         "KRAUS angles= takes two numbers"),
+        ("QUBITS 70\nUNITARY " + " ".join(map(str, range(1, 71))) + " :\n1\n",
+         "dense 2^n x 2^n matrices capped at 10 qubits, got 70"),
+        ("QUBITS 1\nUNITARY :\n1+0j\n", "UNITARY header names no qubit"),
+    ],
+    ids=["discard-bare", "discard-two", "kraus-no-ops", "kraus-stray-token", "kraus-no-qubit",
+         "kraus-one-angle", "unitary-70", "unitary-none"],
+)
+def test_malformed_instruction_lines_are_refused_by_name(text, message):
+    with pytest.raises(ValueError) as info:
+        ci.parse_text(text)
+    assert str(info.value) == f"parse error at line 2: {message}"
+
+
+def test_unitary_gate_on_no_qubit_is_refused():
+    with pytest.raises(ValueError, match="UNITARY gate needs at least one qubit"):
+        ci.unitary_gate(np.ones((1, 1)), ())
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\nQUBITS 1\n\nX 1  # flip\n"
     assert ci.export_text(ci.parse_text(text)) == ci.export_text(ci.Program(1, (ci.x(1),)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ci.Program(0, ()), "need at least one qubit"),
+        (lambda: ci.run_statevector(ci.Program(1, ()), np.array([1.0, 1.0])),
+         "initial state is not normalized"),
+        (lambda: ci.partial_trace(np.eye(4) / 4, [3], 2), "bad keep set"),
+        (lambda: ci.partial_trace(np.eye(4) / 4, [1, 1], 2), "bad keep set"),
+    ],
+    ids=["program-no-qubit", "unnormalized-state", "keep-outside", "keep-repeated"],
+)
+def test_refusals_keep_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

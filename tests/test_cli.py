@@ -143,6 +143,19 @@ def test_compile_writes_schedule_and_circuit(tmp_path, capsys):
     assert prog.n_qubits == 3
 
 
+def test_compile_builds_no_circuit_without_a_circuit_path(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compile built a circuit it does not write")
+
+    monkeypatch.setattr(cli, "schedule_program", refuse)
+    out = tmp_path / "sched.json"
+    assert main(["compile", "z:1", "--tau", "1", "--config", write_config(tmp_path, BASE),
+                 "--out", str(out)]) == 0
+    assert "pass" in capsys.readouterr().out
+    assert schedule_from_json(out.read_text()).target == "z:1 coeff=0.5"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sched.json"]
+
+
 def test_compile_xy_segmented_output(tmp_path):
     cfgp = write_config(tmp_path, BASE)
     out = tmp_path / "xy.json"

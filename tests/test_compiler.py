@@ -723,3 +723,22 @@ def test_json_rejects_unknown_keys_and_bad_counts():
     empty = {"n_qubits": 7, "target": "xy:1,2 coeff=0.1", "segments": []}
     with pytest.raises(ValueError, match="at least one segment"):
         schedule_from_json(_json.dumps(empty))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: decoupling_sign_matrix(3, 0), "target 0 outside 1..3"),
+        (lambda: decoupling_sign_matrix(3, 4), "target 4 outside 1..3"),
+        (lambda: recoupling_sign_matrix(3, (2, 1)), "bad pair (2, 1) for 3 qubits"),
+        (lambda: recoupling_sign_matrix(3, (1, 4)), "bad pair (1, 4) for 3 qubits"),
+        (lambda: PulseSchedule(2, math.inf, ((), ())), "interval duration must be finite"),
+        (lambda: PulseSchedule(2, math.nan, ((), ())), "interval duration must be finite"),
+    ],
+    ids=["target-low", "target-high", "pair-reversed", "pair-outside", "duration-inf",
+         "duration-nan"],
+)
+def test_refusals_keep_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -1288,6 +1288,24 @@ def test_dissipator_is_the_per_site_pass_bit_for_bit(n):
             assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
+def test_dissipator_peaks_near_what_it_returns_on_the_full_support():
+    # m = 1 024: the decay and nine sites' refill indices are 46 MB, built one
+    # site at a time, never as an (n, m, m) table of every site's pairs.
+    n, rng = 10, np.random.default_rng(2800)
+    dissipation = rng.uniform(0.1, 2.0, n)
+    dissipation[3] = 0.0
+    noise = NoiseParameters(dissipation, rng.uniform(0.1, 2.0, n))
+    tracemalloc.start()
+    try:
+        decay, refill = dynamics._dissipator(noise, np.arange(2**n), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = decay.nbytes + sum(lo.nbytes + hi.nbytes for _, lo, hi in refill)
+    assert len(refill) == n - 1 and kept > 45e6
+    assert peak < 1.5 * kept
+
+
 # --- H and the step unitary built on the support ----------------------------------------
 
 
@@ -1373,3 +1391,18 @@ def test_building_a_ten_site_route_from_site1_stays_on_the_support(route):
         tracemalloc.stop()
     assert len(traj.support) == 11 and traj.times == (0.0,)
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: site_populations(np.eye(3)), "state dimension is not a power of two"),
+        (lambda: Trajectory((), (), "exact", np.arange(2), 1), "need one state per time point"),
+        (lambda: dynamics._step_grid(-0.5, 0.1, 1), "t_max must be nonnegative"),
+    ],
+    ids=["populations-dimension", "trajectory-empty", "grid-negative-t_max"],
+)
+def test_refusals_keep_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

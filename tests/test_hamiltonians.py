@@ -261,3 +261,19 @@ def test_cached_term_exponential_is_matexp_hermitian_bit_for_bit(kind):
     w, v, d = term_eigen(kind)
     assert not (w.flags.writeable or v.flags.writeable)
     assert (d is None) == (kind == "xy")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FmoParameters([1.0, 1.0], np.zeros((3, 3))), "nu must be 2x2"),
+        (lambda: NmrParameters([], []), "omega must be a non-empty 1-d array"),
+        (lambda: NmrParameters(np.ones((2, 2)), [0.1]), "omega must be a non-empty 1-d array"),
+        (lambda: NmrParameters([1.0, np.nan], [0.1]), "omega and j must be finite"),
+    ],
+    ids=["nu-shape", "omega-empty", "omega-2d", "omega-nan"],
+)
+def test_refusals_keep_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

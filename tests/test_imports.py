@@ -183,7 +183,8 @@ tracer = tracing.Tracer()
 undo = tracing.install(tracer)
 sched, config = sys.argv[2], sys.argv[3]
 try:
-    rcs = [cli.main(["compile", "xy:1,2", "--tau", "0.5", "--config", config, "--out", sched]),
+    rcs = [cli.main(["compile", "xy:1,2", "--tau", "0.5", "--config", config, "--out", sched,
+                     "--circuit", sched + ".txt"]),
            cli.main(["verify", sched, "--config", config, "--lowering", "opaque"]),
            cli.main(["verify", sched, "--config", config, "--lowering", "gates"])]
 finally:

@@ -157,3 +157,17 @@ class TestCheckDensity:
         assert not is_hermitian(SY + 1e-6 * np.array([[0, 1], [0, 0]]))
         assert is_unitary(SX)
         assert not is_unitary(1.001 * SX)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pauli_embed(np.eye(4), 1, 2), "pauli_embed expects a 2x2 operator"),
+        (lambda: density_to_bloch(np.eye(4) / 4), "density_to_bloch expects a 2x2 matrix"),
+    ],
+    ids=["embed-4x4", "bloch-4x4"],
+)
+def test_refusals_keep_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
