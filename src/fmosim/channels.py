@@ -38,7 +38,7 @@ import numpy as np
 
 from . import circuit as ci
 from .circuit import KrausChannel, completeness_deficit
-from .qcore import CPTP_VERIFIED_ATOL, ID2, SX, SY, SZ
+from .qcore import CPTP_VERIFIED_ATOL, ID2, SX, SY, SZ, _read_only
 
 __all__ = [
     "KrausChannel",
@@ -163,18 +163,15 @@ def apply_kraus(rho: np.ndarray, ch: KrausChannel, allow_noncptp: bool = False) 
 
 @dataclass(frozen=True, eq=False)
 class AffineChannel:
-    """Bloch-ball picture of a channel: r -> matrix @ r + shift."""
+    """Bloch-ball picture of a channel: r -> matrix @ r + shift (read-only copies)."""
 
     matrix: np.ndarray
     shift: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        s = np.array(self.shift, dtype=float)
+        m, s = _read_only(self.matrix, float), _read_only(self.shift, float)
         if m.shape != (3, 3) or s.shape != (3,):
             raise ValueError("affine channel needs a 3x3 matrix and a 3-vector")
-        m.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
 

@@ -20,12 +20,14 @@ indices, ``MEASURE_DISCARD q``, ``#`` comments, and ``UNITARY q... :`` (1 to
 10 qubits) / ``KRAUS q key=value... :`` headers followed by row-major complex
 matrix rows.  A KRAUS header carries ``ops=<count>``, the derived
 ``cptp=<status>`` (a value that disagrees with the operators is a parse
-error), ``angles=<alpha>,<beta>`` when the channel has them, and ends with
-``provenance=<text>``.  Angles and matrix entries
+error), ``angles=<alpha>,<beta>`` when the channel has them, each key at most
+once, and ends with ``provenance=<text>``.  Angles and matrix entries
 are printed with 17 significant digits so that exporting a parsed program
 gives back the same bytes.  ``parse_text`` walks the numbered non-blank lines
-with one iterator, from which a header takes its matrix rows; a refusal after
-the ``QUBITS`` header names its line, or for a matrix row its header's line.
+with one iterator, from which a header takes its matrix rows, and hands each
+line's instruction to ``Program`` as it reads it.  So every refusal from the
+``QUBITS`` header on names its line, ``Program``'s qubit count, range and
+discard checks included, or for a matrix row its header's line.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .qcore import CPTP_VERIFIED_ATOL, SX, UNITARY_ATOL, is_unitary
+from .qcore import CPTP_VERIFIED_ATOL, SX, UNITARY_ATOL, _read_only, is_unitary
 from .qcore import check_unitary_register, parse_basis_label
 
 __all__ = [
@@ -68,17 +70,17 @@ __all__ = [
     "parse_text",
 ]
 
-# The gate vocabulary: kind -> (qubit count, matrix, or a function from angle to matrix).
+# The gate vocabulary: kind -> (qubit count, read-only matrix, or a function from angle to matrix).
 _GATES = {
     "X": (1, SX),
-    "H": (1, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)),
+    "H": (1, _read_only(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0))),
     "RX": (1, lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
                                   [-1j * math.sin(t / 2), math.cos(t / 2)]])),
     "RY": (1, lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
                                   [math.sin(t / 2), math.cos(t / 2)]], dtype=complex)),
     "RZ": (1, lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])),
-    "CZ": (2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
-    "CNOT": (2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
+    "CZ": (2, _read_only(np.diag([1.0, 1.0, 1.0, -1.0]), complex)),
+    "CNOT": (2, _read_only([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], complex)),
 }
 
 
@@ -92,10 +94,11 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.kind == "UNITARY":
             if not self.qubits:
                 raise ValueError("UNITARY gate needs at least one qubit")
-            m = np.asarray(self.matrix, dtype=complex)
+            m = _read_only(self.matrix, complex)
             dim = 2 ** len(self.qubits)
             if m.shape not in ((dim,), (dim, dim)):
                 raise ValueError("UNITARY matrix shape does not match qubit count")
@@ -129,7 +132,7 @@ class KrausChannel:
     ``violated``.  ``angles`` holds (alpha, beta) when the channel comes
     from the diag/antidiag family, which is what the circuit realization
     needs.  ``provenance`` is one printable line without ``#``, so that the
-    text format carries it.
+    text format carries it.  ``ops`` holds read-only copies of the operators given.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -139,13 +142,11 @@ class KrausChannel:
     deficit: float = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.ops)
+        ops = tuple(_read_only(k, complex) for k in self.ops)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValueError("Kraus operators must be 2x2 matrices")
         if not self.provenance.isprintable() or "#" in self.provenance:
             raise ValueError(f"provenance {self.provenance!r} is not one printable line without #")
-        for k in ops:
-            k.setflags(write=False)
         deficit = completeness_deficit(ops)
         status = "verified" if deficit <= CPTP_VERIFIED_ATOL else "violated"
         object.__setattr__(self, "ops", ops)
@@ -173,14 +174,16 @@ Instruction = Union[Gate, KrausApply, MeasureAndDiscard]
 
 @dataclass(frozen=True)
 class Program:
+    """``n_qubits`` and the instructions, taken from any iterable into a tuple.  Each one is
+    checked against the live register as it is taken (so ``parse_text`` names its line)."""
+
     n_qubits: int
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        live = self.n_qubits
+        live, taken = self.n_qubits, []
         for ins in self.instructions:
             qs = ins.qubits if isinstance(ins, Gate) else (ins.qubit,)
             if any(not 1 <= q <= live for q in qs):
@@ -189,6 +192,8 @@ class Program:
                 live -= 1
                 if live == 0:
                     raise ValueError("cannot discard the last remaining qubit")
+            taken.append(ins)
+        object.__setattr__(self, "instructions", tuple(taken))
 
 
 def x(q: int) -> Gate:
@@ -429,9 +434,10 @@ def parse_text(text: str) -> Program:
     head = ln.split()
     if head[0] != "QUBITS" or len(head) != 2:
         raise ValueError("first line must be a QUBITS header")
-    instructions: list[Instruction] = []
-    try:
-        n = int(head[1])
+
+    def instructions():
+        """Each line's instruction, drawn one at a time by ``Program``; ``lineno`` follows."""
+        nonlocal lineno
         for lineno, ln in lines:
             tokens = ln.split()
             name = tokens[0]
@@ -442,7 +448,7 @@ def parse_text(text: str) -> Program:
                 if not qubits:
                     raise ValueError("UNITARY header names no qubit")
                 check_unitary_register(len(qubits))
-                instructions.append(unitary_gate(matrix(2 ** len(qubits), "UNITARY"), qubits))
+                yield unitary_gate(matrix(2 ** len(qubits), "UNITARY"), qubits)
             elif name == "KRAUS":
                 if tokens[-1] != ":":
                     raise ValueError("KRAUS header must end with ':'")
@@ -450,7 +456,11 @@ def parse_text(text: str) -> Program:
                 fields = head.split()[1:]
                 if not fields or "=" in fields[0] or not all("=" in t for t in fields[1:]):
                     raise ValueError("KRAUS header takes one qubit, then key=value options")
-                opts = dict(t.split("=", 1) for t in fields[1:])
+                opts = {}
+                for key, _, value in (t.partition("=") for t in fields[1:]):
+                    if key in opts:
+                        raise ValueError(f"KRAUS header repeats {key}=")
+                    opts[key] = value
                 if "ops" not in opts:
                     raise ValueError("KRAUS header needs ops=<count>")
                 n_ops = int(opts.pop("ops"))
@@ -469,11 +479,11 @@ def parse_text(text: str) -> Program:
                         f"cptp={cptp} disagrees with the operators "
                         f"({ch.cptp}, completeness deficit {ch.deficit:.3g})"
                     )
-                instructions.append(KrausApply(int(fields[0]), ch))
+                yield KrausApply(int(fields[0]), ch)
             elif name == "MEASURE_DISCARD":
                 if len(tokens) != 2:
                     raise ValueError("MEASURE_DISCARD takes one qubit")
-                instructions.append(MeasureAndDiscard(int(tokens[1])))
+                yield MeasureAndDiscard(int(tokens[1]))
             else:
                 angle = None
                 if "(" in name:
@@ -484,7 +494,9 @@ def parse_text(text: str) -> Program:
                 qubits = tuple(int(t) for t in tokens[1:])
                 if name not in _GATES:
                     raise ValueError(f"unknown gate {name!r}")
-                instructions.append(Gate(name, qubits, angle))
+                yield Gate(name, qubits, angle)
+
+    try:
+        return Program(int(head[1]), instructions())
     except (ValueError, IndexError, KeyError) as exc:
         raise ValueError(f"parse error at line {lineno}: {exc}") from exc
-    return Program(n, tuple(instructions))

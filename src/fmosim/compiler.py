@@ -222,11 +222,15 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class Segment:
-    """A pulse schedule wrapped in single-qubit basis-change gates."""
+    """A pulse schedule wrapped in single-qubit basis-change gates (held as tuples)."""
 
     pre: tuple[ci.Gate, ...]
     schedule: PulseSchedule
     post: tuple[ci.Gate, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pre", tuple(self.pre))
+        object.__setattr__(self, "post", tuple(self.post))
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,7 @@ class ConjugatedSchedule:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("a conjugated schedule needs at least one segment")
         if any(seg.schedule.n_qubits != self.n_qubits for seg in self.segments):

@@ -68,7 +68,7 @@ import numpy as np
 from .hamiltonians import (TERMS, FmoParameters, NoiseParameters, fmo_terms, nmr_from_fmo,
                            term_eigen)
 from .hamiltonians import trotter_step  # noqa: F401  (benchmarks/tracing.py patches it here)
-from .qcore import _occupations, check_unitary_register, parse_basis_label
+from .qcore import _occupations, _read_only, check_unitary_register, parse_basis_label
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 from .schema import _site_number
 
@@ -257,13 +257,13 @@ class Trajectory:
             raise ValueError("need one state per time point")
         if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
             raise ValueError("times must be finite and strictly increasing")
-        n, support = self.n_sites, np.array(self.support, dtype=np.int64)
+        n, support = self.n_sites, _read_only(self.support, np.int64)
         if (n is None or support.ndim != 1 or not len(support) or support[0] < 0
                 or support[-1] >= 2**n or np.any(np.diff(support) <= 0)):
             raise ValueError("support must be increasing basis states of the register")
         m, times = len(support), tuple(times.tolist())
         try:
-            blocks = np.array(self.blocks, dtype=complex)
+            blocks = _read_only(self.blocks, complex)
         except ValueError:  # blocks of different shapes
             blocks = np.empty(0)
         if blocks.shape != (len(times), m, m):
@@ -274,8 +274,6 @@ class Trajectory:
         if not ok.all():
             i = int(np.argmin(ok))
             raise ValueError(f"state at t={times[i]:g} is not finite or has trace {tr[i]:.8g}")
-        blocks.setflags(write=False)
-        support.setflags(write=False)
         vars(self).update(blocks=blocks, times=times, support=support, n_sites=n)  # frozen
 
     def _scatter(self, block: np.ndarray) -> np.ndarray:

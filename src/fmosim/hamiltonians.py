@@ -34,7 +34,7 @@ from functools import cache
 
 import numpy as np
 
-from .qcore import SX, SY, SZ, _occupations, check_unitary_register, matexp_hermitian
+from .qcore import SX, SY, SZ, _occupations, _read_only, check_unitary_register, matexp_hermitian
 from .qcore import pauli_embed  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 __all__ = [
@@ -52,8 +52,9 @@ __all__ = [
     "trotter_unitary",
 ]
 
-# The local Pauli operator of each term kind, on its one or two sites.
-TERMS = {"z": SZ, "zz": np.kron(SZ, SZ), "xy": np.kron(SX, SX) + np.kron(SY, SY)}
+# The local Pauli operator of each term kind, on its one or two sites (read-only).
+TERMS = {"z": SZ, "zz": _read_only(np.kron(SZ, SZ)),
+         "xy": _read_only(np.kron(SX, SX) + np.kron(SY, SY))}
 
 
 @cache
@@ -61,9 +62,7 @@ def term_eigen(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read-only (w, v, d): TERMS[kind] = v diag(w) v^dag from the ``eigh`` that
     ``matexp_hermitian`` runs, and d the real diagonal of a diagonal term, else None."""
     op = TERMS[kind]
-    w, v = np.linalg.eigh(op)
-    w.setflags(write=False)
-    v.setflags(write=False)
+    w, v = map(_read_only, np.linalg.eigh(op))
     diagonal = not np.any(op - np.diag(np.diagonal(op)))
     return w, v, np.diagonal(op).real if diagonal else None
 
@@ -76,15 +75,16 @@ def term_exp(kind: str, c: float) -> np.ndarray:
 
 
 class _Record:
-    """Read-only slots and identity equality, without a frozen dataclass's generated code."""
+    """Read-only slots and identity equality, without a frozen dataclass's generated code.
+    A record checks its values (arrays via ``np.asarray``), then ``_set`` copies and stores them."""
 
     __slots__ = ()
 
     def _set(self, *values) -> None:
-        """Set each slot once, in order; an array is made read-only first."""
+        """Set each slot once, in order; an array is stored as its ``_read_only`` copy."""
         for name, value in zip(self.__slots__, values, strict=True):
             if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+                value = _read_only(value)
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
@@ -101,8 +101,8 @@ class FmoParameters(_Record):
     __slots__ = ("epsilon", "nu")
 
     def __init__(self, epsilon: np.ndarray, nu: np.ndarray):
-        eps = np.array(epsilon, dtype=float)
-        nu = np.array(nu, dtype=float)
+        eps = np.asarray(epsilon, dtype=float)
+        nu = np.asarray(nu, dtype=float)
         if eps.ndim != 1 or eps.shape[0] < 1:
             raise ValueError("epsilon must be a non-empty 1-d array")
         n = eps.shape[0]
@@ -137,8 +137,8 @@ class NmrParameters(_Record):
     __slots__ = ("omega", "j")
 
     def __init__(self, omega: np.ndarray, j: np.ndarray):
-        omega = np.array(omega, dtype=float)
-        j = np.array(j, dtype=float)
+        omega = np.asarray(omega, dtype=float)
+        j = np.asarray(j, dtype=float)
         if omega.ndim != 1 or omega.shape[0] < 1:
             raise ValueError("omega must be a non-empty 1-d array")
         if j.shape != (omega.shape[0] - 1,):
@@ -158,8 +158,8 @@ class NoiseParameters(_Record):
     __slots__ = ("dissipation", "dephasing")
 
     def __init__(self, dissipation: np.ndarray, dephasing: np.ndarray):
-        diss = np.array(dissipation, dtype=float)
-        deph = np.array(dephasing, dtype=float)
+        diss = np.asarray(dissipation, dtype=float)
+        deph = np.asarray(dephasing, dtype=float)
         if diss.ndim != 1 or deph.shape != diss.shape:
             raise ValueError("dissipation and dephasing must be equal-length vectors")
         if np.any(diss < 0) or np.any(deph < 0):

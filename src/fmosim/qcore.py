@@ -11,7 +11,9 @@ Conventions used throughout the package:
 
 Everything is plain ``numpy.ndarray`` with ``complex128`` dtype; structure
 (hermiticity, unitarity, density-matrix validity) is enforced by explicit
-checker functions rather than wrapper classes.
+checker functions rather than wrapper classes.  Every array the package shares
+(the Pauli constants, gates, ``TERMS``) or a record keeps is a read-only copy
+made by ``_read_only``: no caller's array is aliased, no constant written through.
 """
 
 from __future__ import annotations
@@ -46,10 +48,18 @@ __all__ = [
     "parse_basis_label",
 ]
 
-ID2 = np.eye(2, dtype=complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+def _read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of ``a``: the one way the package holds an array it shares or keeps."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+ID2 = _read_only(np.eye(2), complex)
+SX = _read_only([[0.0, 1.0], [1.0, 0.0]], complex)
+SY = _read_only([[0.0, -1.0j], [1.0j, 0.0]], complex)
+SZ = _read_only([[1.0, 0.0], [0.0, -1.0]], complex)
 
 # Central tolerance table.  Structural checks are near machine precision;
 # end-to-end reconstruction tolerances are deliberately looser.

@@ -645,14 +645,42 @@ ID_ROWS = "1 0\n0 1\n"
         ("QUBITS 70\nUNITARY " + " ".join(map(str, range(1, 71))) + " :\n1\n",
          "dense 2^n x 2^n matrices capped at 10 qubits, got 70"),
         ("QUBITS 1\nUNITARY :\n1+0j\n", "UNITARY header names no qubit"),
+        ("QUBITS 1\nKRAUS 1 ops=2 ops=1 provenance=p :\n" + ID_ROWS, "KRAUS header repeats ops="),
     ],
     ids=["discard-bare", "discard-two", "kraus-no-ops", "kraus-stray-token", "kraus-no-qubit",
-         "kraus-one-angle", "unitary-70", "unitary-none"],
+         "kraus-one-angle", "unitary-70", "unitary-none", "kraus-repeated-option"],
 )
 def test_malformed_instruction_lines_are_refused_by_name(text, message):
     with pytest.raises(ValueError) as info:
         ci.parse_text(text)
     assert str(info.value) == f"parse error at line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\nQUBITS 1\nX 2\n",
+         "parse error at line 3: qubit out of range in Gate(kind='X', qubits=(2,), angle=None)"),
+        ("# c\nQUBITS 0\n", "parse error at line 2: need at least one qubit"),
+        ("# c\nQUBITS 2\nMEASURE_DISCARD 1\nMEASURE_DISCARD 1\n",
+         "parse error at line 4: cannot discard the last remaining qubit"),
+    ],
+    ids=["qubit-out-of-range", "no-qubit", "last-qubit-discarded"],
+)
+def test_program_refusals_in_text_name_their_line(text, message):
+    with pytest.raises(ValueError) as info:
+        ci.parse_text(text)
+    assert str(info.value) == message
+
+
+def test_gate_holds_its_qubits_as_a_tuple():
+    qubits = [1]
+    g = ci.Gate("X", qubits)
+    qubits.append(2)
+    assert g.qubits == (1,)
+    with pytest.raises(AttributeError):
+        g.qubits.append(2)
+    np.testing.assert_array_equal(ci.unitary_of(ci.Program(1, (g,))), SX)
 
 
 def test_unitary_gate_on_no_qubit_is_refused():

@@ -742,3 +742,13 @@ def test_refusals_keep_their_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_segments_and_conjugated_schedules_hold_tuples():
+    p = params7()
+    xy = compile_xy((2, 3), 0.4, p)
+    listed = ConjugatedSchedule(
+        7, xy.target, [Segment(list(seg.pre), seg.schedule, list(seg.post)) for seg in xy.segments])
+    assert isinstance(listed.segments, tuple) and hash(listed) == hash(xy)
+    assert all(isinstance(seg.pre, tuple) and isinstance(seg.post, tuple) for seg in listed.segments)
+    assert verify_schedule(listed, p).passed and schedule_to_json(listed) == schedule_to_json(xy)

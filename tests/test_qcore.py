@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmosim import circuit as ci
 from fmosim import qcore
+from fmosim.channels import AffineChannel
+from fmosim.dynamics import Trajectory
+from fmosim.hamiltonians import TERMS, FmoParameters, NmrParameters, NoiseParameters, term_eigen
 from fmosim.qcore import (
     ID2,
     SX,
@@ -171,3 +175,60 @@ def test_refusals_keep_their_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+RHO = np.eye(2, dtype=complex) / 2
+
+
+def _kept(build, *given, fields=()):
+    """The arrays that ``build(*given)`` keeps in ``fields`` (by default every slot of a
+    parameter record), and the caller's ``given`` arrays, each of the dtype the record stores,
+    so that a record keeping its argument instead of a copy would share memory with it."""
+    record = build(*given)
+    values = [getattr(record, name) for name in fields or record.__slots__]
+    return tuple(a for v in values for a in (v if isinstance(v, tuple) else (v,))), given
+
+
+# Each case: the arrays the package holds, and the caller's arrays they were made from.
+READ_ONLY_CASES = {
+    "ID2": lambda: ((ID2,), ()),
+    "SX": lambda: ((SX,), ()),
+    "SY": lambda: ((SY,), ()),
+    "SZ": lambda: ((SZ,), ()),
+    "gate-x": lambda: ((ci.gate_matrix(ci.x(1)),), ()),
+    "gate-h": lambda: ((ci.gate_matrix(ci.h(1)),), ()),
+    "gate-cz": lambda: ((ci.gate_matrix(ci.cz(1, 2)),), ()),
+    "gate-cnot": lambda: ((ci.gate_matrix(ci.cnot(1, 2)),), ()),
+    "terms-zz": lambda: ((TERMS["zz"],), ()),
+    "terms-xy": lambda: ((TERMS["xy"],), ()),
+    "term-eigen": lambda: (term_eigen("xy")[:2], ()),
+    "unitary-matrix": lambda: _kept(lambda m: ci.unitary_gate(m, (1,)),
+                                    np.array(ci.gate_matrix(ci.h(1))), fields=("matrix",)),
+    "unitary-phases": lambda: _kept(lambda d: ci.unitary_gate(d, (1,)),
+                                    np.exp(1j * np.array([0.1, 0.2])), fields=("matrix",)),
+    "kraus-ops": lambda: _kept(lambda *ops: ci.KrausChannel(ops, "p"), np.sqrt(0.5) * np.array(ID2),
+                               np.sqrt(0.5) * np.array(SZ), fields=("ops",)),
+    "affine": lambda: _kept(AffineChannel, np.eye(3), np.zeros(3), fields=("matrix", "shift")),
+    "trajectory-blocks": lambda: _kept(
+        lambda b: Trajectory((0.0, 0.5), b, "exact", np.arange(2), 1), np.stack([RHO, RHO]),
+        fields=("blocks",)),
+    "trajectory-support": lambda: _kept(
+        lambda s: Trajectory((0.0, 0.5), np.stack([RHO, RHO]), "exact", s, 1), np.arange(2),
+        fields=("support",)),
+    "fmo-parameters": lambda: _kept(FmoParameters, np.array([1.0, 1.1]),
+                                    np.array([[0.0, 0.1], [0.1, 0.0]])),
+    "nmr-parameters": lambda: _kept(NmrParameters, np.array([2.0, 2.2]), np.array([0.2])),
+    "noise-parameters": lambda: _kept(NoiseParameters, np.array([0.1, 0.2]), np.array([0.05, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_ONLY_CASES))
+def test_shared_and_recorded_arrays_are_read_only_copies(case):
+    """No module constant or record array can be written through, none aliases the caller's
+    array it was made from, and the caller's array stays writable."""
+    held, given = READ_ONLY_CASES[case]()
+    assert held and all(isinstance(h, np.ndarray) for h in held)
+    for h in held:
+        assert not h.flags.writeable
+        assert not any(np.shares_memory(h, g) for g in given)
+    assert all(g.flags.writeable for g in given)
