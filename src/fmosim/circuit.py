@@ -186,7 +186,7 @@ class Program:
         live, taken = self.n_qubits, []
         for ins in self.instructions:
             qs = ins.qubits if isinstance(ins, Gate) else (ins.qubit,)
-            if any(not 1 <= q <= live for q in qs):
+            if min(qs) < 1 or max(qs) > live:
                 raise ValueError(f"qubit out of range in {ins}")
             if isinstance(ins, MeasureAndDiscard):
                 live -= 1

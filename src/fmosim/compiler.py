@@ -42,6 +42,8 @@ Targets are the term kinds of ``hamiltonians.TERMS``: ``parse_target`` reads
 segment by segment, each flat schedule as its phase vector; the
 ``compiled-pulses`` step and ``verify_schedule`` both apply it.  The target
 unitary is ``hamiltonians.term_exp``, from a cached eigendecomposition.
+``verify_schedule`` takes a 2 x 2 block's norm in closed form, larger blocks' by
+one ``svd``; ``schedule_program`` lowers each distinct flat schedule once.
 
 ``schedule_from_json`` checks its document with ``schema``'s field checker and
 builds every gate and schedule with ``schema._build``, so a schema error, and a
@@ -425,20 +427,24 @@ def schedule_program(
     """Lower a schedule to a circuit, for export and as the tests' dense reference.
 
     ``opaque`` emits each interval as one UNITARY phase vector; ``gates``
-    decomposes intervals into RZ singles and CNOT-RZ-CNOT bond factors.
+    decomposes intervals into RZ singles and CNOT-RZ-CNOT bond factors.  Segments of
+    one flat schedule share its interval gates, and each qubit's X pulses are one gate.
     """
     if params.n_qubits != sched.n_qubits:
         raise ValueError("parameter set does not match schedule width")
     ins: list[ci.Gate] = []
+    intervals: dict[PulseSchedule, tuple[ci.Gate, ...]] = {}
+    pulse = {q: ci.x(q) for q in range(1, sched.n_qubits + 1)}
     for seg in sched.segments:
         flat = seg.schedule
-        _check_phases(flat.target_time, params)
-        interval = _interval_instructions(params, flat.interval_duration, lowering)
+        if flat not in intervals:
+            _check_phases(flat.target_time, params)
+            intervals[flat] = _interval_instructions(params, flat.interval_duration, lowering)
         ins.extend(seg.pre)
         for k, layer in enumerate(flat.pulse_layers):
-            ins.extend(ci.x(q) for q in layer)
+            ins.extend(pulse[q] for q in layer)
             if k < flat.intervals:
-                ins.extend(interval)
+                ins.extend(intervals[flat])
         ins.extend(seg.post)
     return ci.Program(sched.n_qubits, tuple(ins))
 
@@ -520,6 +526,19 @@ def apply_schedule(
     return u
 
 
+def _largest_block_norm(a: np.ndarray) -> float:
+    """Largest 2-norm of the stacked blocks ``a``: one ``svd``, or for 2 x 2 blocks the root
+    of the Gram g = A^dag A's largest eigenvalue (g00 + g11)/2 + hypot((g00 - g11)/2, |g01|),
+    in which nothing cancels.  Entries are squared unscaled, so the largest block's must be
+    about 1e-150..1e150 in size; ``verify_schedule``'s, differences of unitaries, are <= 2."""
+    if a.shape[-2:] != (2, 2):
+        return float(np.linalg.svd(a, compute_uv=False).max())
+    p = a.real**2 + a.imag**2
+    g00, g11 = p[:, 0, 0] + p[:, 1, 0], p[:, 0, 1] + p[:, 1, 1]
+    g01 = a[:, 0, 0].conj() * a[:, 0, 1] + a[:, 1, 0].conj() * a[:, 1, 1]
+    return float(np.sqrt(((g00 + g11) / 2 + np.hypot((g00 - g11) / 2, np.abs(g01))).max()))
+
+
 def verify_schedule(
     sched: PulseSchedule | ConjugatedSchedule,
     params: NmrParameters,
@@ -532,8 +551,9 @@ def verify_schedule(
     2^n x 2^|Q| probe (the identity on Q for each configuration of the rest)
     yields every block at once.  After ``phase_align`` (phase from the target's
     first largest entry, in block 0) the report carries the operator-norm
-    error, the largest over the blocks, and |tr(U^dag V)| / 2^n.  A coefficient
-    the supplied parameters realize differently from the descriptor's is noted.
+    error, the largest over the blocks (closed-form for one touched qubit, else
+    one ``svd``), and |tr(U^dag V)| / 2^n.  A coefficient the supplied
+    parameters realize differently from the descriptor's is noted.
     Registers over 10 qubits are refused before any work.
     """
     n = sched.n_qubits
@@ -551,7 +571,7 @@ def verify_schedule(
     local = [touched.index(q) + 1 for q in sites]
     v = np.broadcast_to(ci.embed(term_exp(kind, coeff), local, m), u.shape)
     u = phase_align(u, v)
-    err = float(np.linalg.svd(u - v, compute_uv=False).max())  # the largest block 2-norm
+    err = _largest_block_norm(u - v)
     fid = float(abs(np.vdot(u, v))) / 2**n
     run_coeff = _coefficient(kind, sites, sched.target_time, params)
     note = ""

@@ -31,6 +31,7 @@ step and the compiler's targets (``term_exp``) share instead of an ``eigh`` per 
 from __future__ import annotations
 
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,9 +53,10 @@ __all__ = [
     "trotter_unitary",
 ]
 
-# The local Pauli operator of each term kind, on its one or two sites (read-only).
-TERMS = {"z": SZ, "zz": _read_only(np.kron(SZ, SZ)),
-         "xy": _read_only(np.kron(SX, SX) + np.kron(SY, SY))}
+# The local Pauli operator of each term kind, on its one or two sites; the table and
+# its operators are read-only, so ``term_eigen``'s cache always matches it.
+TERMS = MappingProxyType({"z": SZ, "zz": _read_only(np.kron(SZ, SZ)),
+                          "xy": _read_only(np.kron(SX, SX) + np.kron(SY, SY))})
 
 
 @cache

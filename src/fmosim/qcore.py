@@ -77,10 +77,11 @@ def _occupations(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def pauli_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator on qubit ``site`` (1-based) of an n-qubit register."""
+    """Embed a single-qubit operator on qubit ``site`` (1-based) of an n-qubit register,
+    always as a new array."""
     if not 1 <= site <= n:
         raise ValueError(f"site {site} outside register 1..{n}")
-    op = np.asarray(op, dtype=complex)
+    op = np.array(op, dtype=complex)  # a copy, which a one-qubit register returns
     if op.shape != (2, 2):
         raise ValueError("pauli_embed expects a 2x2 operator")
     return reduce(np.kron, [op if j == site else ID2 for j in range(1, n + 1)])

@@ -263,6 +263,17 @@ def test_cached_term_exponential_is_matexp_hermitian_bit_for_bit(kind):
     assert (d is None) == (kind == "xy")
 
 
+def test_terms_table_refuses_writes_and_matches_its_cached_eigensystems():
+    with pytest.raises(TypeError):
+        TERMS["z"] = 2 * TERMS["z"]
+    with pytest.raises(TypeError):
+        del TERMS["xy"]
+    assert sorted(TERMS) == ["xy", "z", "zz"]
+    for kind, op in TERMS.items():
+        w, v, _ = term_eigen(kind)
+        np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, op, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

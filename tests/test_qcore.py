@@ -63,6 +63,15 @@ class TestPauliEmbed:
         b = pauli_embed(SY, 4, 4)
         assert np.max(np.abs(a @ b - b @ a)) <= 1e-14
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_returns_a_new_array_the_caller_may_write(self, n):
+        a = np.array([[1.0, 2j], [3.0, -1.0]])
+        kept = a.copy()
+        out = pauli_embed(a, 1, n)
+        assert out is not a and not np.shares_memory(out, a)
+        out[...] = 7.0
+        assert np.array_equal(a, kept)
+
 
 class TestMatexp:
     def test_pauli_z_half_turn(self):
